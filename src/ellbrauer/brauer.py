@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 from .descent import BrauerClass, CurveCoordinate, brauer_image
@@ -83,12 +84,18 @@ def is_local_point(curve: WeierstrassCurve, point: SurfacePoint) -> bool:
         return True
     p, q = curve.split_p, curve.split_q
     try:
-        w = point.x0 * (point.x0 - p(point.t0)) * (point.x0 - q(point.t0))
+        p0, q0 = p(point.t0), q(point.t0)
     except ZeroDivisionError as exc:
         raise DegeneratePointError(
             f"curve coefficients have a pole at t = {point.t0}"
         ) from exc
-    return w == 0 or qp_is_square(w, point.place)
+    return _on_curve(point.x0, p0, q0, point.place)
+
+
+def _on_curve(x0: Fraction, p0: Fraction, q0: Fraction, place: RationalPlace) -> bool:
+    """Whether x0 (x0 - p0) (x0 - q0) is zero or a square at the place."""
+    w = x0 * (x0 - p0) * (x0 - q0)
+    return w == 0 or qp_is_square(w, place)
 
 
 def _coordinate_value(
@@ -120,27 +127,33 @@ def evaluate_local(cls: BrauerClass, point: SurfacePoint) -> Fraction:
         return Fraction(0)
     if not is_local_point(cls.curve, point):
         raise ValueError(f"{point} is not on the curve over its completion")
-    p, q = cls.curve.split_p, cls.curve.split_q
-    try:
-        p0, q0 = p(point.t0), q(point.t0)
-    except ZeroDivisionError as exc:
-        raise DegeneratePointError(
-            f"curve coefficients have a pole at t = {point.t0}"
-        ) from exc
+    # is_local_point has already raised if p or q has a pole at t0.
+    t0 = point.t0
+    p0, q0 = cls.curve.split_p(t0), cls.curve.split_q(t0)
+    return _invariant(cls, point.place, t0, point.x0, p0, q0)
+
+
+def _invariant(
+    cls: BrauerClass,
+    place: RationalPlace,
+    t0: Fraction,
+    x0: Fraction,
+    p0: Fraction,
+    q0: Fraction,
+) -> Fraction:
+    """Local invariant at the affine point (x0, t0), given p0 = p(t0), q0 = q(t0)."""
     flips = 0
     for coord, f in cls.symbols:
         try:
-            fv = f(point.t0)
+            fv = f(t0)
         except ZeroDivisionError as exc:
             raise DegeneratePointError(
-                f"symbol entry {f} has a pole at t = {point.t0}"
+                f"symbol entry {f} has a pole at t = {t0}"
             ) from exc
         if fv == 0:
-            raise DegeneratePointError(
-                f"symbol entry {f} vanishes at t = {point.t0}"
-            )
-        a = _coordinate_value(coord, point.x0, p0, q0)
-        if hilbert_symbol(a, fv, point.place).sign < 0:
+            raise DegeneratePointError(f"symbol entry {f} vanishes at t = {t0}")
+        a = _coordinate_value(coord, x0, p0, q0)
+        if hilbert_symbol(a, fv, place).sign < 0:
             flips += 1
     return Fraction(flips % 2, 2)
 
@@ -225,15 +238,43 @@ def _pairs_by_height(height: int) -> Iterator[tuple[Fraction, Fraction]]:
 
 
 def excluded_parameters(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
-    """Rational t0 over singular fibers: roots of the discriminant's support."""
-    _, _, disc = invariants(curve)
-    roots = set()
-    for poly in (disc.num, disc.den):
-        if poly.degree > 0:
-            for base, _ in poly_factor(poly).factors:
-                if base.degree == 1:
-                    roots.add(-base.coeff(0))
-    return tuple(sorted(roots))
+    """Rational t0 over singular fibers: roots of the discriminant's support.
+
+    Computed once per curve and cached on it.
+    """
+    if curve._excluded is None:
+        _, _, disc = invariants(curve)
+        roots = set()
+        for poly in (disc.num, disc.den):
+            if poly.degree > 0:
+                for base, _ in poly_factor(poly).factors:
+                    if base.degree == 1:
+                        roots.add(-base.coeff(0))
+        curve._excluded = tuple(sorted(roots))
+    return curve._excluded
+
+
+def _sampled_points(
+    curve: WeierstrassCurve, place: RationalPlace, height: int
+) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """(t0, x0, p(t0), q(t0)) for every pair that local_points keeps, in order.
+
+    p and q are evaluated once per distinct t0; parameters over singular
+    fibers and poles of p or q map to None and are skipped.
+    """
+    p, q = curve.split_p, curve.split_q
+    fibers: dict[Fraction, tuple[Fraction, Fraction] | None] = dict.fromkeys(
+        excluded_parameters(curve)
+    )
+    for t0, x0 in _pairs_by_height(height):
+        if t0 not in fibers:
+            try:
+                fibers[t0] = (p(t0), q(t0))
+            except ZeroDivisionError:
+                fibers[t0] = None
+        values = fibers[t0]
+        if values is not None and _on_curve(x0, *values, place):
+            yield (t0, x0, *values)
 
 
 def local_points(
@@ -247,23 +288,10 @@ def local_points(
     Enumerates rational (t0, x0) by increasing height, discards parameters
     over singular fibers, and keeps pairs whose y^2 value is zero or a
     square in the completion.  May return fewer than count points if the
-    height budget runs out.
+    height budget runs out, and returns no point when count <= 0.
     """
-    excluded = set(excluded_parameters(curve))
-    p, q = curve.split_p, curve.split_q
-    out: list[SurfacePoint] = []
-    for t0, x0 in _pairs_by_height(height):
-        if t0 in excluded:
-            continue
-        try:
-            w = x0 * (x0 - p(t0)) * (x0 - q(t0))
-        except ZeroDivisionError:
-            continue
-        if w == 0 or qp_is_square(w, place):
-            out.append(SurfacePoint.affine(x0, t0, place))
-            if len(out) >= count:
-                break
-    return out
+    pairs = islice(_sampled_points(curve, place, height), max(count, 0))
+    return [SurfacePoint.affine(x0, t0, place) for t0, x0, _, _ in pairs]
 
 
 @dataclass(frozen=True)
@@ -299,15 +327,15 @@ def sample_vanishing(
     samples: int = 25,
     height: int = 20,
 ) -> SamplingReport:
-    """Evaluate the class at sampled local points and report the invariants."""
-    points = local_points(cls.curve, place, samples, height)
+    """Evaluate the class at the points local_points would sample."""
+    points = islice(_sampled_points(cls.curve, place, height), max(samples, 0))
     zero_count = 0
     skipped = 0
     nonzero: list[tuple[Fraction, Fraction, Fraction]] = []
     valid = 0
-    for pt in points:
+    for t0, x0, p0, q0 in points:
         try:
-            inv = evaluate_local(cls, pt)
+            inv = _invariant(cls, place, t0, x0, p0, q0)
         except DegeneratePointError:
             skipped += 1
             continue
@@ -315,7 +343,7 @@ def sample_vanishing(
         if inv == 0:
             zero_count += 1
         else:
-            nonzero.append((pt.t0, pt.x0, inv))
+            nonzero.append((t0, x0, inv))
     return SamplingReport(
         place=place,
         requested=samples,

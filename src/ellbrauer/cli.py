@@ -194,6 +194,16 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parse_place(text: str) -> RationalPlace:
     if text.strip().lower() == "real":
         return REAL
@@ -940,11 +950,11 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_verify,
     )
     ver.add_argument(
-        "--samples", type=int, default=25, metavar="N",
+        "--samples", type=_positive_int, default=25, metavar="N",
         help="local points to sample per place",
     )
     ver.add_argument(
-        "--height", type=int, default=20, metavar="H",
+        "--height", type=_positive_int, default=20, metavar="H",
         help="height budget for sampled coordinates",
     )
     ver.add_argument(

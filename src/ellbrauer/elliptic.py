@@ -36,7 +36,9 @@ def _as_rf(x) -> RationalFunction:
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "split_p", "split_q", "_inv")
+    __slots__ = (
+        "a1", "a2", "a3", "a4", "a6", "split_p", "split_q", "_inv", "_excluded"
+    )
 
     def __init__(self, a1, a2, a3, a4, a6) -> None:
         self.a1 = _as_rf(a1)
@@ -48,6 +50,8 @@ class WeierstrassCurve:
         self.split_q: RationalFunction | None = None
         self._inv: tuple[RationalFunction, RationalFunction, RationalFunction] | None
         self._inv = None
+        # Filled in by brauer.excluded_parameters.
+        self._excluded: tuple[Fraction, ...] | None = None
 
     @staticmethod
     def from_split(p, q) -> "WeierstrassCurve":

@@ -5,6 +5,12 @@ with no trailing zeros, so equality and hashing are structural.  Rational
 functions are reduced quotients with a monic denominator.  Everything here
 is exact: no floats anywhere.
 
+Evaluation at a rational a/b runs Horner's rule on integers: the
+coefficients are brought to their common denominator D and the powers of b
+are carried along, so a single Fraction, the integer sum over D * b^deg,
+is normalised per call.  A rational function with a constant (hence unit) denominator
+is evaluated as its numerator.
+
 Factorization over Q proceeds by squarefree reduction, rational root
 extraction, and a bounded divisor-interpolation search for factors of the
 rootless part.  The search is exhaustive for the degrees this package
@@ -183,11 +189,23 @@ class Polynomial:
         return (other % self).is_zero()
 
     def __call__(self, x: Scalar) -> Fraction:
+        """Value at x = a/b: sum(n_i a^i b^(d-i)) / (D b^d), n_i = c_i D.
+
+        D is the common denominator of the coefficients, built pairwise:
+        lcm(*generator) would materialise a tuple per call.
+        """
         x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        cs = self._coeffs
+        den = 1
+        for c in cs:
+            den = lcm(den, c.denominator)
+        a, b = x.numerator, x.denominator
+        acc = 0
+        b_pow = 1
+        for c in reversed(cs):
+            acc = acc * a + c.numerator * (den // c.denominator) * b_pow
+            b_pow *= b
+        return Fraction(acc, den * b ** max(len(cs) - 1, 0))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute inner for t."""
@@ -280,9 +298,10 @@ class RationalFunction:
             raise TypeError("RationalFunction expects polynomial or scalar operands")
         if d.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(n, d)
-        if not g.is_zero() and g.degree > 0:
-            n, d = n // g, d // g
+        if d.degree > 0:
+            g = poly_gcd(n, d)
+            if g.degree > 0:
+                n, d = n // g, d // g
         lc = d.leading()
         if lc != 1:
             inv = Polynomial((1 / lc,))
@@ -379,6 +398,8 @@ class RationalFunction:
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate at a rational point; raises ZeroDivisionError at a pole."""
+        if self.den.degree == 0:
+            return self.num(x)
         d = self.den(x)
         if d == 0:
             raise ZeroDivisionError(f"pole of {self} at t = {x}")

@@ -7,13 +7,16 @@ so exactly one sign flips and the invariant is 1/2.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ellbrauer import brauer
 from ellbrauer.brauer import (
     AdelicPointSpec,
     DegeneratePointError,
+    SamplingReport,
     SurfacePoint,
     adelic_pairing,
     evaluate_local,
@@ -309,6 +312,55 @@ class TestLocalPoints:
     def test_count_honored_when_budget_allows(self):
         assert len(local_points(reference_curve(), REAL, 12, height=10)) == 12
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_count_returns_no_point(self, count):
+        assert local_points(reference_curve(), THREE, count, height=10) == []
+
+    def test_curve_roots_evaluated_once_per_parameter(self, monkeypatch):
+        curve = WeierstrassCurve.from_split(
+            reference_curve().split_p, reference_curve().split_q
+        )
+        cls = brauer_image(6 * T * (T + 1), 6 * T * (T - 1), curve)
+        calls = Counter()
+        original = RationalFunction.__call__
+
+        def counting(self, x):
+            calls[id(self), x] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(RationalFunction, "__call__", counting)
+        roots = {id(curve.split_p), id(curve.split_q)}
+        for place in (REAL, TWO, THREE):
+            for run in (
+                lambda: local_points(curve, place, 200, height=12),
+                lambda: sample_vanishing(cls, place, samples=200, height=12),
+            ):
+                calls.clear()
+                run()
+                seen = [n for (owner, _), n in calls.items() if owner in roots]
+                assert len(seen) > 10
+                assert max(seen) == 1
+
+    def test_discriminant_factored_once_per_curve(self, monkeypatch):
+        expected = excluded_parameters(reference_curve())
+        calls = []
+        original = brauer.poly_factor
+
+        def counting(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(brauer, "poly_factor", counting)
+        curve = WeierstrassCurve.from_split(
+            reference_curve().split_p, reference_curve().split_q
+        )
+        cls = brauer_image(6 * T * (T + 1), 6 * T * (T - 1), curve)
+        for place in (REAL, THREE, RationalPlace.prime(5)):
+            sample_vanishing(cls, place, samples=10, height=8)
+            assert excluded_parameters(curve) == expected
+        local_points(curve, TWO, 10, height=8)
+        assert len(calls) == 1
+
 
 class TestSampling:
     def test_vanishing_places(self):
@@ -332,6 +384,45 @@ class TestSampling:
         report = sample_vanishing(reference_class(), THREE, samples=5, height=6)
         assert "evidence" in report.note
         assert "not decided" in report.note
+
+    @pytest.mark.parametrize("samples, height", [(25, 20), (120, 12)])
+    @pytest.mark.parametrize("place", [REAL, TWO, THREE, RationalPlace.prime(31)])
+    @pytest.mark.parametrize("symbols", ["reference", "degenerate"])
+    def test_matches_public_evaluation(self, symbols, place, samples, height):
+        # The sampling loop must agree with local_points + evaluate_local.
+        # (t - 2, ...) vanishes over t = 2, which exercises the skip count.
+        if symbols == "reference":
+            cls = reference_class()
+        else:
+            cls = brauer_image(T - 2, 6 * T * (T - 1), reference_curve())
+        valid = zero_count = skipped = 0
+        nonzero = []
+        for point in local_points(cls.curve, place, samples, height):
+            try:
+                inv = evaluate_local(cls, point)
+            except DegeneratePointError:
+                skipped += 1
+                continue
+            valid += 1
+            if inv == 0:
+                zero_count += 1
+            else:
+                nonzero.append((point.t0, point.x0, inv))
+        expected = SamplingReport(
+            place=place,
+            requested=samples,
+            height=height,
+            valid=valid,
+            zero_count=zero_count,
+            nonzero=tuple(nonzero),
+            skipped_degenerate=skipped,
+            excluded_params=excluded_parameters(cls.curve),
+        )
+        assert sample_vanishing(cls, place, samples, height) == expected
+        if place == TWO and symbols == "reference":
+            assert expected.nonzero
+        if symbols == "degenerate":
+            assert expected.skipped_degenerate > 0
 
     def test_requested_and_height_recorded(self):
         report = sample_vanishing(reference_class(), THREE, samples=5, height=6)

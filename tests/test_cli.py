@@ -340,6 +340,15 @@ class TestVerify:
         assert not any("sampling at 7" in line for line in lines)
         assert not any(line.startswith("  ") for line in lines)
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "0"), ("--samples", "-1"), ("--height", "0")]
+    )
+    def test_nonpositive_budget_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", flag, value, "--sample-places", "3"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_verbose_toggle_adds_evidence(self, capsys, monkeypatch):
         monkeypatch.setenv("ELLBRAUER_VERBOSE", "1")
         code, lines = run(

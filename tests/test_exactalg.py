@@ -113,6 +113,29 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             f(1)
         assert f(2) == 1
+        g = RationalFunction(T + 5, (3 * T - 2) * (T + 1))
+        for pole in (Fraction(2, 3), Fraction(-1)):
+            with pytest.raises(ZeroDivisionError):
+                g(pole)
+        assert g(0) == Fraction(-5, 2)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (2 * T + 4, 1),
+            (2 * T + 4, -4),
+            (Polynomial(), 5),
+            (Fraction(3, 7) * T**3 - 1, Fraction(-2, 9)),
+        ],
+    )
+    def test_constant_denominator_normalisation(self, num, den):
+        # Same (num, den) as the gcd path takes when a common factor is
+        # attached to both sides.
+        f = RationalFunction(num, den)
+        via_gcd = RationalFunction(num * (T + 1), den * (T + 1))
+        assert (f.num, f.den) == (via_gcd.num, via_gcd.den)
+        assert f.den == ONE
+        assert f.num == num * Fraction(1, den)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
