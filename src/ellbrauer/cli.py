@@ -694,16 +694,17 @@ def _check_local_invariants() -> CheckResult:
 
 def _check_exactness() -> CheckResult:
     curve = reference_curve()
+    images = [
+        (label, brauer_image(*descent_pair_functions(torsion, curve), curve))
+        for key, label, torsion in _TORSION_LABELS
+        if key != "identity"
+    ]
     checked = 0
     problems = []
     for prime in (2, 3, 5):
         place = RationalPlace.prime(prime)
         for point in local_points(curve, place, 4, height=12):
-            for key, label, torsion in _TORSION_LABELS:
-                if key == "identity":
-                    continue
-                f, g = descent_pair_functions(torsion, curve)
-                image = brauer_image(f, g, curve)
+            for label, image in images:
                 try:
                     inv = evaluate_local(image, point)
                 except DegeneratePointError:

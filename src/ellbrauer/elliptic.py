@@ -1,9 +1,10 @@
 """Weierstrass curves over Q(t) and Kodaira classification of their fibers.
 
 The coefficient field has residue characteristic zero at every place, so
-fiber types are read off the valuations of (c4, c6, disc) after rescaling
-to a minimal model; no small-characteristic cases of Tate's algorithm are
-needed.  Component counts and Euler contributions follow the standard
+fiber types are read off the valuations of (c4, c6, disc) of a minimal
+model, with no small-characteristic cases of Tate's algorithm.  Scaling
+by u = pi^n shifts those valuations by 4n, 6n and 12n, so no model is
+rebuilt.  Component counts and Euler contributions follow the standard
 table, and the lattice rank bound follows Shioda-Tate: the classes of the
 zero section, a general fiber, and the non-identity fiber components are
 independent in the Neron-Severi group.
@@ -189,6 +190,14 @@ def _vals(
     return tuple(None if f.is_zero() else valuation(place, f) for f in fns)
 
 
+_WEIGHTS = (4, 6, 12)  # scaling by u divides c4, c6, disc by u^4, u^6, u^12
+
+
+def _minimal_shift(vals: tuple[int | None, int | None, int]) -> int:
+    """Largest n with v(c4) >= 4n, v(c6) >= 6n and v(disc) >= 12n."""
+    return min(v // k for v, k in zip(vals, _WEIGHTS) if v is not None)
+
+
 def minimalize_at(
     place: Place, curve: WeierstrassCurve
 ) -> tuple[WeierstrassCurve, int]:
@@ -199,15 +208,7 @@ def minimalize_at(
     v(c4) >= 4, v(c6) >= 6, v(disc) >= 12.  n may be negative, which
     clears poles (the standard situation at infinity).
     """
-    c4, c6, disc = invariants(curve)
-    vc4, vc6, vd = _vals(place, (c4, c6, disc))
-    floors = []
-    if vc4 is not None:
-        floors.append(vc4 // 4)
-    if vc6 is not None:
-        floors.append(vc6 // 6)
-    floors.append(vd // 12)
-    n = min(floors)
+    n = _minimal_shift(_vals(place, invariants(curve)))
     if n == 0:
         return curve, 0
     u = _uniformizer(place) ** n
@@ -236,13 +237,19 @@ class FiberReport:
 
 
 def kodaira_type_at(place: Place, curve: WeierstrassCurve) -> FiberReport:
-    """Fiber type at one place, from minimal (c4, c6, disc) valuations."""
-    minimal, _ = minimalize_at(place, curve)
-    c4, c6, disc = invariants(minimal)
-    vc4, vc6, vd = _vals(place, (c4, c6, disc))
-    kodaira = _classify(vc4, vc6, vd)
+    """Fiber type at one place, from minimal (c4, c6, disc) valuations.
+
+    The minimal model scales by u = pi^n (see minimalize_at), which shifts
+    the valuations of the given curve by 4n, 6n and 12n; none is rebuilt.
+    """
+    vals = _vals(place, invariants(curve))
+    n = _minimal_shift(vals)
+    minimal = tuple(
+        None if v is None else v - k * n for v, k in zip(vals, _WEIGHTS)
+    )
+    kodaira = _classify(*minimal)
     return FiberReport(
-        place, kodaira, kodaira.components, kodaira.euler, (vc4, vc6, vd)
+        place, kodaira, kodaira.components, kodaira.euler, minimal
     )
 
 
@@ -296,12 +303,20 @@ def classify_surface(
     A place can only be bad if the discriminant has nonzero valuation
     there or some invariant has a pole, so the candidate set is the
     support of disc, the denominator factors of c4 and c6, and infinity.
+    On a split curve the support of p, q and p - q is factored instead;
+    it contains that set, since disc = 16 p^2 q^2 (p - q)^2 and c4, c6
+    are polynomials in p and q.
     Euler contributions and component counts are weighted by the degree
     of the place, which is the number of geometric points below it.
     """
     c4, c6, disc = invariants(curve)
+    if curve.is_split:
+        p, q = curve.split_p, curve.split_q
+        supports = {f for rf in (p, q, p - q) for f in (rf.num, rf.den)}
+    else:
+        supports = {disc.num, disc.den, c4.den, c6.den}
     candidates: set[Place] = set()
-    for poly in (disc.num, disc.den, c4.den, c6.den):
+    for poly in supports:
         if poly.degree > 0:
             for base, _ in poly_factor(poly).factors:
                 candidates.add(Place(base))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellbrauer import cli
 from ellbrauer.cli import ExpressionError, main, parse_poly
 from ellbrauer.exactalg import Polynomial, T
 
@@ -326,6 +327,30 @@ class TestVerify:
         for place in ("real", "3", "5", "7"):
             assert f"sampling at {place}: ok (25 points, all invariants 0)" in lines
         assert any(line.startswith("note: sampling gives evidence") for line in lines)
+
+    def test_exactness_builds_each_torsion_image_once(self, capsys, monkeypatch):
+        built = []
+        active = []
+        original_image = cli.brauer_image
+        original_check = cli._check_exactness
+
+        def counting_image(*args):
+            built.append(bool(active))
+            return original_image(*args)
+
+        def marked_check():
+            active.append(True)
+            try:
+                return original_check()
+            finally:
+                active.clear()
+
+        monkeypatch.setattr(cli, "brauer_image", counting_image)
+        monkeypatch.setattr(cli, "_check_exactness", marked_check)
+        code, lines = run(capsys, "verify")
+        assert code == 0
+        assert "check exactness: ok" in lines
+        assert built.count(True) == 3
 
     def test_small_sample_run(self, capsys):
         code, lines = run(

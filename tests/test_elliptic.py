@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellbrauer import elliptic
 from ellbrauer.elliptic import (
     ClassificationError,
     FiberReport,
@@ -24,7 +25,7 @@ from ellbrauer.elliptic import (
     minimalize_at,
 )
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
-from ellbrauer.funcfield import INFINITY, Place
+from ellbrauer.funcfield import INFINITY, Place, valuation
 
 
 def split(p, q) -> WeierstrassCurve:
@@ -151,6 +152,49 @@ class TestKodairaClassification:
         assert disc / disc_min == RationalFunction(T**12)
 
 
+REFERENCE = split(3 * (T - 1) ** 3 * (T + 3), 3 * (T + 1) ** 3 * (T - 3))
+
+# (p, q) pairs for split curves: the reference curve, poles in p and q,
+# repeated factors, and p - q = t^4 + t + 1, an irreducible quartic.
+SPLIT_FIXTURES = [
+    (REFERENCE.split_p, REFERENCE.split_q),
+    (RationalFunction(1, T), RationalFunction(T**2)),
+    (RationalFunction(T**2 + 1, T - 2), RationalFunction(T**3)),
+    (RationalFunction(1, T), RationalFunction(T + 1)),
+    (RationalFunction(T**2 * (T - 1)), RationalFunction((T + 1) ** 2)),
+    (RationalFunction(T**4 + T**2 + T + 1), RationalFunction(T**2)),
+]
+
+
+def _rescaled_valuations(place, curve):
+    """Valuations of the invariants of the rebuilt minimal model."""
+    minimal, _ = minimalize_at(place, curve)
+    return tuple(
+        None if f.is_zero() else valuation(place, f) for f in invariants(minimal)
+    )
+
+
+class TestMinimalValuations:
+    @pytest.mark.parametrize(
+        "curve, place",
+        [(f[0], f[1]) for f in KODAIRA_FIXTURES],
+        ids=[f[2] + "-" + str(i) for i, f in enumerate(KODAIRA_FIXTURES)],
+    )
+    def test_fixture_matches_rescaled_model(self, curve, place):
+        report = kodaira_type_at(place, curve)
+        assert report.minimal_valuations == _rescaled_valuations(place, curve)
+
+    @pytest.mark.parametrize("index", range(len(SPLIT_FIXTURES)))
+    def test_bad_places_match_rescaled_model(self, index):
+        curve = split(*SPLIT_FIXTURES[index])
+        fibers = classify_surface(curve).fibers
+        assert fibers
+        for fiber in fibers:
+            assert fiber.minimal_valuations == _rescaled_valuations(
+                fiber.place, curve
+            )
+
+
 class TestClassifySurface:
     def test_reference_surface(self):
         curve = split(3 * (T - 1) ** 3 * (T + 3), 3 * (T + 1) ** 3 * (T - 3))
@@ -220,6 +264,28 @@ class TestClassifySurface:
         assert report.picard_bound == 10
         with pytest.raises(ValueError):
             classify_surface(curve, picard_bound=5)
+
+    @pytest.mark.parametrize("index", range(len(SPLIT_FIXTURES)))
+    def test_split_candidates_agree_with_discriminant(self, index):
+        p, q = SPLIT_FIXTURES[index]
+        generic = WeierstrassCurve(0, -(p + q), 0, p * q, 0)
+        assert not generic.is_split
+        assert classify_surface(split(p, q)) == classify_surface(generic)
+
+    def test_split_curve_invariants_of_one_curve(self, monkeypatch):
+        owners = []
+        original = elliptic.invariants
+
+        def counting(curve):
+            owners.append(id(curve))
+            return original(curve)
+
+        monkeypatch.setattr(elliptic, "invariants", counting)
+        for p, q in SPLIT_FIXTURES:
+            curve = split(p, q)
+            owners.clear()
+            classify_surface(curve)
+            assert set(owners) == {id(curve)}
 
 
 class TestReportTypes:
