@@ -3,11 +3,9 @@
 A symbol (x - p, f) is evaluated at a point of the surface lying over a
 place v of Q by specializing both entries to numbers and taking a Hilbert
 symbol.  When a coordinate entry vanishes at the point, the curve
-equation y^2 = x (x - p) (x - q) rewrites it modulo squares:
-
-    x - p  ->  x (x - q),      x - q  ->  x (x - p),      x  ->  (x - p)(x - q),
-
-which is what makes evaluation at 2-torsion points possible.
+equation y^2 = x (x - p) (x - q) rewrites it modulo squares (the rule is
+descent._coordinate_value), which is what makes evaluation at 2-torsion
+points possible.
 
 The module also ships the reference surface: the split curve with
 p(t) = 3 (t - 1)^3 (t + 3) and q(t) = p(-t), an elliptic K3 surface whose
@@ -23,9 +21,9 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
-from .descent import BrauerClass, CurveCoordinate, brauer_image
+from .descent import BrauerClass, _coordinate_value, brauer_image
 from .elliptic import WeierstrassCurve, invariants
-from .exactalg import Polynomial, RationalFunction, poly_factor
+from .exactalg import Polynomial, T, poly_factor
 from .hilbert import RationalPlace, hilbert_symbol, qp_is_square
 
 
@@ -42,11 +40,14 @@ def reference_curve() -> WeierstrassCurve:
     return WeierstrassCurve.from_split(p, q)
 
 
+# The pair (f, g) of the reference class (x - p, f) + (x - q, g).
+REFERENCE_PAIR = (6 * T * (T + 1), 6 * T * (T - 1))
+
+
 @lru_cache(maxsize=1)
 def reference_class() -> BrauerClass:
     """The class (x - p, 6t(t+1)) + (x - q, 6t(t-1)) on the reference curve."""
-    t = Polynomial.variable()
-    return brauer_image(6 * t * (t + 1), 6 * t * (t - 1), reference_curve())
+    return brauer_image(*REFERENCE_PAIR, reference_curve())
 
 
 @dataclass(frozen=True)
@@ -98,29 +99,6 @@ def _on_curve(x0: Fraction, p0: Fraction, q0: Fraction, place: RationalPlace) ->
     return w == 0 or qp_is_square(w, place)
 
 
-def _coordinate_value(
-    coord: CurveCoordinate, x0: Fraction, p0: Fraction, q0: Fraction
-) -> Fraction:
-    direct = {
-        CurveCoordinate.X: x0,
-        CurveCoordinate.X_MINUS_P: x0 - p0,
-        CurveCoordinate.X_MINUS_Q: x0 - q0,
-    }[coord]
-    if direct != 0:
-        return direct
-    substitute = {
-        CurveCoordinate.X: (x0 - p0) * (x0 - q0),
-        CurveCoordinate.X_MINUS_P: x0 * (x0 - q0),
-        CurveCoordinate.X_MINUS_Q: x0 * (x0 - p0),
-    }[coord]
-    if substitute != 0:
-        return substitute
-    raise DegeneratePointError(
-        f"coordinate {coord.value} and its substitute both vanish; the "
-        "point lies on a singular fiber"
-    )
-
-
 def evaluate_local(cls: BrauerClass, point: SurfacePoint) -> Fraction:
     """Local invariant of the class at the point: 0 or 1/2 in Q/Z."""
     if point.at_zero_section:
@@ -143,6 +121,7 @@ def _invariant(
 ) -> Fraction:
     """Local invariant at the affine point (x0, t0), given p0 = p(t0), q0 = q(t0)."""
     flips = 0
+    x_minus_p, x_minus_q = x0 - p0, x0 - q0
     for coord, f in cls.symbols:
         try:
             fv = f(t0)
@@ -152,7 +131,12 @@ def _invariant(
             ) from exc
         if fv == 0:
             raise DegeneratePointError(f"symbol entry {f} vanishes at t = {t0}")
-        a = _coordinate_value(coord, x0, p0, q0)
+        a = _coordinate_value(coord, x0, x_minus_p, x_minus_q)
+        if a == 0:
+            raise DegeneratePointError(
+                f"coordinate {coord.value} and its substitute both vanish; the "
+                "point lies on a singular fiber"
+            )
         if hilbert_symbol(a, fv, place).sign < 0:
             flips += 1
     return Fraction(flips % 2, 2)

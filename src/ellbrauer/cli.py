@@ -35,6 +35,7 @@ import sys
 from fractions import Fraction
 
 from .brauer import (
+    REFERENCE_PAIR,
     AdelicPointSpec,
     DegeneratePointError,
     SurfacePoint,
@@ -194,14 +195,19 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """An argparse type for integers no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    return parse
 
 
 def _parse_place(text: str) -> RationalPlace:
@@ -219,6 +225,12 @@ def _parse_place(text: str) -> RationalPlace:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _nonzero(entry: Polynomial) -> Polynomial:
+    if entry.is_zero():
+        raise argparse.ArgumentTypeError("symbol entries must be nonzero")
+    return entry
+
+
 def _parse_symbol(text: str) -> tuple[Polynomial, Polynomial]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -226,9 +238,10 @@ def _parse_symbol(text: str) -> tuple[Polynomial, Polynomial]:
             f"symbol must be two comma separated expressions, got {text!r}"
         )
     try:
-        return parse_poly(parts[0]), parse_poly(parts[1])
+        f, g = parse_poly(parts[0]), parse_poly(parts[1])
     except ExpressionError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return _nonzero(f), _nonzero(g)
 
 
 def parse_class_literal(text: str) -> list[tuple[Polynomial, Polynomial]]:
@@ -291,11 +304,16 @@ def _parse_poly_arg(text: str) -> Polynomial:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _parse_entry_arg(text: str) -> Polynomial:
+    return _nonzero(_parse_poly_arg(text))
+
+
 def _parse_class_arg(text: str) -> list[tuple[Polynomial, Polynomial]]:
     try:
-        return parse_class_literal(text)
+        pairs = parse_class_literal(text)
     except ExpressionError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return [(_nonzero(f), _nonzero(g)) for f, g in pairs]
 
 
 def _emit(fmt: str, human: list[str], records: list[tuple[str, str]]) -> None:
@@ -355,14 +373,6 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _default_symbols() -> list[tuple[RationalFunction, Polynomial]]:
-    curve = reference_curve()
-    return [
-        (-curve.split_p, 6 * T * (T + 1)),
-        (-curve.split_q, 6 * T * (T - 1)),
-    ]
-
-
 def _cmd_residues(args: argparse.Namespace) -> int:
     if args.class_literal is not None and args.symbol:
         print(
@@ -371,12 +381,11 @@ def _cmd_residues(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     if args.class_literal is not None:
-        symbols = args.class_literal
+        cls = QtBrauerClass(args.class_literal)
     elif args.symbol:
-        symbols = args.symbol
+        cls = QtBrauerClass(args.symbol)
     else:
-        symbols = _default_symbols()
-    cls = QtBrauerClass(symbols)
+        cls = reference_class().restrict_to_origin()
     report = check_unramified_P1(cls)
     human = [f"{v.place} : {v}" for v in report.verdicts]
     records = [(f"residue.{v.place}", str(v)) for v in report.verdicts]
@@ -641,9 +650,7 @@ def _check_descent() -> CheckResult:
 
 def _check_transcendence() -> CheckResult:
     curve = reference_curve()
-    result = transcendence_test(
-        6 * T * (T + 1), 6 * T * (T - 1), curve, mw_rank_bound=0
-    )
+    result = transcendence_test(*REFERENCE_PAIR, curve, mw_rank_bound=0)
     if result.verdict is not TranscendenceVerdict.TRANSCENDENTAL:
         return [f"verdict = {result.verdict.value}, expected transcendental"], []
     return [], [f"transcendental: {result.reason}"]
@@ -651,11 +658,11 @@ def _check_transcendence() -> CheckResult:
 
 def _check_residues() -> CheckResult:
     problems = []
-    cls = QtBrauerClass(_default_symbols())
+    cls = reference_class().restrict_to_origin()
     report = check_unramified_P1(cls)
     if report.overall is not True:
         problems.append(f"unramifiedness came out {report.overall}")
-    single = QtBrauerClass(_default_symbols()[:1])
+    single = QtBrauerClass(cls.symbols[:1])
     lone = residue_of_class(single, Place.at_rational(1))
     if lone.is_trivial() is not False:
         problems.append(
@@ -895,15 +902,15 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_transcendence,
     )
     trans.add_argument(
-        "--f", type=_parse_poly_arg, default=6 * T * (T + 1), metavar="EXPR",
+        "--f", type=_parse_entry_arg, default=REFERENCE_PAIR[0], metavar="EXPR",
         help="entry paired with x - p",
     )
     trans.add_argument(
-        "--g", type=_parse_poly_arg, default=6 * T * (T - 1), metavar="EXPR",
+        "--g", type=_parse_entry_arg, default=REFERENCE_PAIR[1], metavar="EXPR",
         help="entry paired with x - q",
     )
     trans.add_argument(
-        "--mw-rank-bound", type=int, default=0, metavar="N",
+        "--mw-rank-bound", type=_int_at_least(0), default=0, metavar="N",
         help="bound on the Mordell-Weil rank over C(t)",
     )
 
@@ -951,11 +958,11 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_verify,
     )
     ver.add_argument(
-        "--samples", type=_positive_int, default=25, metavar="N",
+        "--samples", type=_int_at_least(1), default=25, metavar="N",
         help="local points to sample per place",
     )
     ver.add_argument(
-        "--height", type=_positive_int, default=20, metavar="H",
+        "--height", type=_int_at_least(1), default=20, metavar="H",
         help="height budget for sampled coordinates",
     )
     ver.add_argument(

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .exactalg import RationalFunction
 from .elliptic import WeierstrassCurve
+from .residues import QtBrauerClass, _SymbolSum
 from .squareclass import (
     FieldMode,
     SquareClassVector,
@@ -28,12 +29,6 @@ from .squareclass import (
     in_span,
     independent,
 )
-
-
-def _as_rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction(x)
 
 
 class PointKind(enum.Enum):
@@ -70,7 +65,8 @@ class CurvePoint:
 
     @staticmethod
     def affine(x, y) -> "CurvePoint":
-        return CurvePoint(PointKind.AFFINE, _as_rf(x), _as_rf(y))
+        x, y = RationalFunction.coerce(x), RationalFunction.coerce(y)
+        return CurvePoint(PointKind.AFFINE, x, y)
 
     def __str__(self) -> str:
         if self.kind is PointKind.AFFINE:
@@ -161,53 +157,54 @@ class CurveCoordinate(enum.Enum):
     X_MINUS_P = "x-p"
     X_MINUS_Q = "x-q"
 
+    def sort_key(self) -> str:
+        # "x" < "x-p" < "x-q": the names sort in definition order.
+        return self.value
+
+    def __str__(self) -> str:
+        return self.value
+
+
+def _coordinate_value(coord: CurveCoordinate, x, x_minus_p, x_minus_q):
+    """The coordinate from the values of x, x - p and x - q, in Q or in Q(t).
+
+    A vanishing coordinate is rewritten modulo squares through y^2 = x (x - p) (x - q):
+    x - p -> x (x - q), x - q -> x (x - p), x -> (x - p)(x - q).  Returns 0
+    when the substitute vanishes too.
+    """
+    if coord is CurveCoordinate.X:
+        return x or x_minus_p * x_minus_q
+    if coord is CurveCoordinate.X_MINUS_P:
+        return x_minus_p or x * x_minus_q
+    return x_minus_q or x * x_minus_p
+
 
 Symbol = tuple[CurveCoordinate, RationalFunction]
 
-_COORD_ORDER = {
-    CurveCoordinate.X: 0,
-    CurveCoordinate.X_MINUS_P: 1,
-    CurveCoordinate.X_MINUS_Q: 2,
-}
 
-
-class BrauerClass:
+class BrauerClass(_SymbolSum):
     """Formal F2 sum of symbols (coordinate, f) on a fixed split curve."""
 
-    __slots__ = ("curve", "symbols")
+    __slots__ = ("curve",)
 
     def __init__(self, curve: WeierstrassCurve, symbols: Sequence[tuple]) -> None:
         _require_split(curve)
-        counts: dict[Symbol, int] = {}
-        for coord, f in symbols:
-            if not isinstance(coord, CurveCoordinate):
-                raise TypeError("first symbol entry must be a CurveCoordinate")
-            f = _as_rf(f)
-            if f.is_zero():
-                raise ValueError("symbol entries must be nonzero")
-            counts[(coord, f)] = counts.get((coord, f), 0) + 1
-        kept = [sym for sym, n in counts.items() if n % 2]
-        kept.sort(key=lambda s: (_COORD_ORDER[s[0]], s[1].sort_key()))
         self.curve = curve
-        self.symbols: tuple[Symbol, ...] = tuple(kept)
+        super().__init__(symbols)
 
-    def __add__(self, other: "BrauerClass") -> "BrauerClass":
-        if not isinstance(other, BrauerClass):
-            return NotImplemented
-        if self.curve != other.curve:
-            raise ValueError("cannot add Brauer classes on different curves")
-        return BrauerClass(self.curve, self.symbols + other.symbols)
+    def _symbol(self, coord, f) -> Symbol:
+        if not isinstance(coord, CurveCoordinate):
+            raise TypeError("first symbol entry must be a CurveCoordinate")
+        f = RationalFunction.coerce(f)
+        if f.is_zero():
+            raise ValueError("symbol entries must be nonzero")
+        return coord, f
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BrauerClass):
-            return NotImplemented
-        return self.curve == other.curve and self.symbols == other.symbols
+    def _with(self, symbols: Sequence[tuple]) -> "BrauerClass":
+        return BrauerClass(self.curve, symbols)
 
-    def __hash__(self) -> int:
-        return hash(("BrauerClass", self.curve, self.symbols))
-
-    def is_zero(self) -> bool:
-        return not self.symbols
+    def _context(self) -> WeierstrassCurve:
+        return self.curve
 
     def substitute_neg_t(self) -> "BrauerClass":
         """The class pulled back under t -> -t, on the pulled-back curve."""
@@ -228,17 +225,18 @@ class BrauerClass:
             [(swap[c], f.substitute(neg_t)) for c, f in self.symbols],
         )
 
-    def __str__(self) -> str:
-        if not self.symbols:
-            return "0"
-        return " + ".join(f"({c.value}, {f})" for c, f in self.symbols)
+    def restrict_to_origin(self) -> QtBrauerClass:
+        """The class on the 2-torsion section x = 0, as a class over Q(t)."""
+        zero = RationalFunction(0)
+        p, q = self.curve.split_p, self.curve.split_q
+        return QtBrauerClass(
+            (_coordinate_value(c, zero, -p, -q), f) for c, f in self.symbols
+        )
 
 
 def brauer_image(f, g, curve: WeierstrassCurve) -> BrauerClass:
     """The Brauer class (x - p, f) + (x - q, g) of a square-class pair."""
-    f, g = _as_rf(f), _as_rf(g)
-    if f.is_zero() or g.is_zero():
-        raise ValueError("the pair entries must be nonzero")
+    f, g = RationalFunction.coerce(f), RationalFunction.coerce(g)
     symbols = []
     if f != RationalFunction(1):
         symbols.append((CurveCoordinate.X_MINUS_P, f))
@@ -274,7 +272,6 @@ def transcendence_test(
     of (f, g) over C(t) falls in that span.
     """
     mode = FieldMode.CONSTANTS_ARE_SQUARES
-    f, g = _as_rf(f), _as_rf(g)
     target = DescentPair(class_of(f, mode), class_of(g, mode))
     gens = (
         descent_image(CurvePoint.two_torsion_p(), curve, mode),

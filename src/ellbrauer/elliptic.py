@@ -28,12 +28,6 @@ class ClassificationError(ValueError):
     """Raised when valuation data falls outside the fiber type table."""
 
 
-def _as_rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction(x)
-
-
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
 
@@ -42,11 +36,11 @@ class WeierstrassCurve:
     )
 
     def __init__(self, a1, a2, a3, a4, a6) -> None:
-        self.a1 = _as_rf(a1)
-        self.a2 = _as_rf(a2)
-        self.a3 = _as_rf(a3)
-        self.a4 = _as_rf(a4)
-        self.a6 = _as_rf(a6)
+        self.a1 = RationalFunction.coerce(a1)
+        self.a2 = RationalFunction.coerce(a2)
+        self.a3 = RationalFunction.coerce(a3)
+        self.a4 = RationalFunction.coerce(a4)
+        self.a6 = RationalFunction.coerce(a6)
         self.split_p: RationalFunction | None = None
         self.split_q: RationalFunction | None = None
         self._inv: tuple[RationalFunction, RationalFunction, RationalFunction] | None
@@ -57,7 +51,7 @@ class WeierstrassCurve:
     @staticmethod
     def from_split(p, q) -> "WeierstrassCurve":
         """The curve y^2 = x (x - p) (x - q)."""
-        p, q = _as_rf(p), _as_rf(q)
+        p, q = RationalFunction.coerce(p), RationalFunction.coerce(q)
         curve = WeierstrassCurve(0, -(p + q), 0, p * q, 0)
         curve.split_p = p
         curve.split_q = q

@@ -309,6 +309,13 @@ class RationalFunction:
         self.num = n
         self.den = d
 
+    @staticmethod
+    def coerce(x: object) -> "RationalFunction":
+        """x itself if it is a RationalFunction, else x as one."""
+        if isinstance(x, RationalFunction):
+            return x
+        return RationalFunction(x)
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

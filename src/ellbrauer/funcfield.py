@@ -73,12 +73,6 @@ class Place:
 INFINITY = Place.infinity()
 
 
-def _as_rf(f: FieldElement) -> RationalFunction:
-    if isinstance(f, RationalFunction):
-        return f
-    return RationalFunction(f)
-
-
 def _multiplicity(pi: Polynomial, poly: Polynomial) -> int:
     e = 0
     while True:
@@ -90,7 +84,7 @@ def _multiplicity(pi: Polynomial, poly: Polynomial) -> int:
 
 def valuation(place: Place, f: FieldElement) -> int:
     """Order of vanishing of a nonzero f at the place."""
-    rf = _as_rf(f)
+    rf = RationalFunction.coerce(f)
     if rf.is_zero():
         raise ValueError("the zero function has no valuation")
     if place.is_infinite:
@@ -113,7 +107,7 @@ def unit_part(place: Place, f: FieldElement) -> UnitPart:
             f"residue field at {place} is a number field of degree "
             f"{place.degree}, not Q"
         )
-    rf = _as_rf(f)
+    rf = RationalFunction.coerce(f)
     if rf.is_zero():
         raise ValueError("the zero function has no unit part")
     if place.is_infinite:
@@ -132,7 +126,7 @@ def reduced_unit(place: Place, f: FieldElement) -> Polynomial:
     """
     if place.is_infinite:
         raise ValueError("reduced_unit applies to finite places")
-    rf = _as_rf(f)
+    rf = RationalFunction.coerce(f)
     if rf.is_zero():
         raise ValueError("the zero function has no unit part")
     pi = place.pi
@@ -151,7 +145,7 @@ def places_of_support(fs: Iterable[FieldElement]) -> list[Place]:
     finite: set[Place] = set()
     include_infinity = False
     for f in fs:
-        rf = _as_rf(f)
+        rf = RationalFunction.coerce(f)
         if rf.is_zero():
             raise ValueError("the zero function has no support")
         for poly in (rf.num, rf.den):

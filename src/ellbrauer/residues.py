@@ -25,43 +25,66 @@ from .squareclass import FieldMode, SquareClassVector, class_of
 Pair = tuple[RationalFunction, RationalFunction]
 
 
-def _as_rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction(x)
+class _SymbolSum:
+    """Formal F2 sum of symbols (a, f): odd multiplicities kept, sorted by entry.
 
-
-class QtBrauerClass:
-    """Formal F2 sum of quaternion symbols (f, g) with f, g in Q(t)*."""
+    Subclasses define _symbol (check and coerce one input pair) and _with
+    (a class of the same kind and context), and override _context when
+    something besides the symbols identifies a class.  Sums and equality
+    hold only between classes of one concrete type.
+    """
 
     __slots__ = ("symbols",)
 
     def __init__(self, pairs: Iterable[tuple]) -> None:
-        counts: dict[Pair, int] = {}
-        for f, g in pairs:
-            f, g = _as_rf(f), _as_rf(g)
-            if f.is_zero() or g.is_zero():
-                raise ValueError("quaternion symbols require nonzero entries")
-            counts[(f, g)] = counts.get((f, g), 0) + 1
-        kept = [pair for pair, n in counts.items() if n % 2]
-        kept.sort(key=lambda fg: (fg[0].sort_key(), fg[1].sort_key()))
-        self.symbols: tuple[Pair, ...] = tuple(kept)
+        counts: dict[tuple, int] = {}
+        for a, f in pairs:
+            symbol = self._symbol(a, f)
+            counts[symbol] = counts.get(symbol, 0) + 1
+        kept = [symbol for symbol, n in counts.items() if n % 2]
+        kept.sort(key=lambda s: (s[0].sort_key(), s[1].sort_key()))
+        self.symbols: tuple[tuple, ...] = tuple(kept)
 
-    def __add__(self, other: "QtBrauerClass") -> "QtBrauerClass":
-        if not isinstance(other, QtBrauerClass):
+    def _context(self) -> object:
+        return None
+
+    def __add__(self, other: "_SymbolSum") -> "_SymbolSum":
+        if type(other) is not type(self):
             return NotImplemented
-        return QtBrauerClass(self.symbols + other.symbols)
+        if other._context() != self._context():
+            raise ValueError("cannot add Brauer classes on different curves")
+        return self._with(self.symbols + other.symbols)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QtBrauerClass):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.symbols == other.symbols
+        return self._context() == other._context() and self.symbols == other.symbols
 
     def __hash__(self) -> int:
-        return hash(("QtBrauerClass", self.symbols))
+        return hash((type(self).__name__, self._context(), self.symbols))
 
     def is_zero(self) -> bool:
         return not self.symbols
+
+    def __str__(self) -> str:
+        if not self.symbols:
+            return "0"
+        return " + ".join(f"({a}, {f})" for a, f in self.symbols)
+
+
+class QtBrauerClass(_SymbolSum):
+    """Formal F2 sum of quaternion symbols (f, g) with f, g in Q(t)*."""
+
+    __slots__ = ()
+
+    def _symbol(self, f, g) -> Pair:
+        f, g = RationalFunction.coerce(f), RationalFunction.coerce(g)
+        if f.is_zero() or g.is_zero():
+            raise ValueError("quaternion symbols require nonzero entries")
+        return f, g
+
+    def _with(self, pairs: Iterable[tuple]) -> "QtBrauerClass":
+        return QtBrauerClass(pairs)
 
     def support(self) -> list[Place]:
         entries: list[RationalFunction] = []
@@ -69,11 +92,6 @@ class QtBrauerClass:
             entries.append(f)
             entries.append(g)
         return places_of_support(entries)
-
-    def __str__(self) -> str:
-        if not self.symbols:
-            return "0"
-        return " + ".join(f"({f}, {g})" for f, g in self.symbols)
 
 
 class Verdict(enum.Enum):
@@ -104,7 +122,7 @@ class ResidueVerdict:
 
 def tame_symbol(place: Place, f, g) -> ResidueVerdict:
     """Tame residue of the symbol (f, g) at a place of the t-line."""
-    f, g = _as_rf(f), _as_rf(g)
+    f, g = RationalFunction.coerce(f), RationalFunction.coerce(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbols require nonzero entries")
     vf, vg = valuation(place, f), valuation(place, g)
@@ -153,7 +171,6 @@ class UnramifiednessReport:
     """Residue verdicts over the support, with places elsewhere trivial."""
 
     verdicts: tuple[ResidueVerdict, ...]
-    nonsupport_trivial: bool = True
 
     @property
     def overall(self) -> bool | None:

@@ -101,10 +101,7 @@ class SquareClassVector:
 
 def class_of(f: FieldElement, mode: FieldMode) -> SquareClassVector:
     """Square class of a nonzero field element in the given mode."""
-    if isinstance(f, (Fraction, int)):
-        rf = RationalFunction(Polynomial((f,)))
-    else:
-        rf = f if isinstance(f, RationalFunction) else RationalFunction(f)
+    rf = RationalFunction.coerce(f)
     if rf.is_zero():
         raise ValueError("0 has no square class")
     if mode is FieldMode.RATIONALS_ONLY and not rf.is_constant():

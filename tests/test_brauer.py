@@ -28,13 +28,21 @@ from ellbrauer.brauer import (
     reference_curve,
     sample_vanishing,
 )
-from ellbrauer.descent import CurvePoint, brauer_image, descent_pair_functions
+from ellbrauer.descent import (
+    BrauerClass,
+    CurveCoordinate,
+    CurvePoint,
+    brauer_image,
+    descent_pair_functions,
+)
 from ellbrauer.elliptic import WeierstrassCurve
-from ellbrauer.exactalg import RationalFunction, T, int_factor
-from ellbrauer.hilbert import REAL, RationalPlace
+from ellbrauer.exactalg import Polynomial, RationalFunction, T, int_factor
+from ellbrauer.hilbert import REAL, RationalPlace, hilbert_symbol
+from ellbrauer.residues import QtBrauerClass
 
 TWO = RationalPlace.prime(2)
 THREE = RationalPlace.prime(3)
+FIVE = RationalPlace.prime(5)
 
 
 class TestReferenceData:
@@ -429,3 +437,86 @@ class TestSampling:
         assert report.requested == 5
         assert report.height == 6
         assert report.excluded_params == excluded_parameters(reference_curve())
+
+
+def _restriction_cases():
+    other = WeierstrassCurve.from_split(T**2 + 1, 2 * T)
+    return [
+        ("reference", reference_class()),
+        (
+            "with (x, f)",
+            BrauerClass(
+                reference_curve(),
+                [(CurveCoordinate.X, T + 2), (CurveCoordinate.X_MINUS_P, 6 * T)],
+            ),
+        ),
+        (
+            "other curve",
+            BrauerClass(
+                other,
+                [
+                    (CurveCoordinate.X, 3 * T - 1),
+                    (CurveCoordinate.X_MINUS_P, Polynomial.constant(5)),
+                    (CurveCoordinate.X_MINUS_Q, T**2 + 2),
+                ],
+            ),
+        ),
+    ]
+
+
+def _small_parameters(height: int) -> list[Fraction]:
+    values = range(-height, height + 1)
+    return sorted({Fraction(a, b) for a in values for b in values if b > 0})
+
+
+class TestRestrictionToOrigin:
+    def test_reference_restriction_is_the_section_class(self):
+        curve = reference_curve()
+        f, g = 6 * T * (T + 1), 6 * T * (T - 1)
+        expected = QtBrauerClass([(-curve.split_p, f), (-curve.split_q, g)])
+        assert reference_class().restrict_to_origin() == expected
+        # verify's residue check takes the first symbol alone
+        assert expected.symbols[0] == (-curve.split_p, f)
+
+    def test_each_coordinate_restricts_by_the_rewrite_rule(self):
+        curve = WeierstrassCurve.from_split(T**2 + 1, 2 * T)
+        p, q = curve.split_p, curve.split_q
+        cls = BrauerClass(
+            curve,
+            [
+                (CurveCoordinate.X, T + 5),
+                (CurveCoordinate.X_MINUS_P, T - 7),
+                (CurveCoordinate.X_MINUS_Q, T + 11),
+            ],
+        )
+        # x vanishes on the section and is replaced by (x - p)(x - q) = p q
+        expected = QtBrauerClass([(p * q, T + 5), (-p, T - 7), (-q, T + 11)])
+        assert cls.restrict_to_origin() == expected
+
+    @pytest.mark.parametrize("label, cls", _restriction_cases())
+    def test_commutes_with_specialization(self, label, cls):
+        restricted = cls.restrict_to_origin()
+        compared = nonzero = 0
+        for t0 in _small_parameters(3):
+            for place in (REAL, TWO, THREE, FIVE, RationalPlace.prime(7)):
+                point = SurfacePoint.affine(0, t0, place)
+                try:
+                    values = [(a(t0), f(t0)) for a, f in restricted.symbols]
+                except ZeroDivisionError:
+                    values = None
+                if values is None or any(a == 0 or b == 0 for a, b in values):
+                    # a restricted entry has a zero or pole at t0, and so
+                    # does the specialization on the surface
+                    with pytest.raises(DegeneratePointError):
+                        evaluate_local(cls, point)
+                    continue
+                expected = sum(
+                    (hilbert_symbol(a, b, place).inv for a, b in values), Fraction(0)
+                )
+                assert evaluate_local(cls, point) == expected % 1, (label, t0, place)
+                compared += 1
+                nonzero += expected % 1 != 0
+        assert compared >= 40
+        # the reference class vanishes along the whole section; the others
+        # must not, or the comparison would only ever see zeros
+        assert (nonzero == 0) == (label == "reference")

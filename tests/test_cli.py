@@ -169,6 +169,23 @@ class TestResidues:
         assert excinfo.value.code == 2
         assert f"position {position}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["residues", "--symbol=0,t"],
+            ["residues", "--symbol=t,0"],
+            ["residues", "(t, 0)"],
+            ["residues", "(t, t) + (t-t, 1)"],
+        ],
+    )
+    def test_zero_entry_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "symbol entries must be nonzero" in err
+        assert "Traceback" not in err
+
 
 class TestDescent:
     def test_constant_square_images(self, capsys):
@@ -208,6 +225,20 @@ class TestTranscendence:
         assert code == 3
         assert "verdict = unknown" in lines
         assert any("rank bound 1" in line for line in lines)
+
+    def test_negative_rank_bound_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["transcendence", "--mw-rank-bound=-1"])
+        assert excinfo.value.code == 2
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--f=0", "--g=0", "--f=t-t"])
+    def test_zero_entry_is_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["transcendence", flag])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "symbol entries must be nonzero" in err
 
 
 class TestHilbert:
