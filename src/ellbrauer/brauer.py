@@ -23,7 +23,8 @@ from typing import Iterator
 
 from .descent import BrauerClass, _coordinate_value, brauer_image
 from .elliptic import WeierstrassCurve, invariants
-from .exactalg import Polynomial, T, poly_factor
+from .exactalg import Polynomial, T
+from .funcfield import places_of_support
 from .hilbert import RationalPlace, hilbert_symbol, qp_is_square
 
 
@@ -79,18 +80,21 @@ class SurfacePoint:
         return f"(x = {self.x0}, t = {self.t0}) at {self.place}"
 
 
+def _split_values(curve: WeierstrassCurve, t0: Fraction) -> tuple[Fraction, Fraction]:
+    """(p(t0), q(t0)); raises DegeneratePointError at a pole of p or q."""
+    try:
+        return curve.split_p(t0), curve.split_q(t0)
+    except ZeroDivisionError as exc:
+        raise DegeneratePointError(
+            f"curve coefficients have a pole at t = {t0}"
+        ) from exc
+
+
 def is_local_point(curve: WeierstrassCurve, point: SurfacePoint) -> bool:
     """Whether the point lies on the curve over the completion at its place."""
     if point.at_zero_section:
         return True
-    p, q = curve.split_p, curve.split_q
-    try:
-        p0, q0 = p(point.t0), q(point.t0)
-    except ZeroDivisionError as exc:
-        raise DegeneratePointError(
-            f"curve coefficients have a pole at t = {point.t0}"
-        ) from exc
-    return _on_curve(point.x0, p0, q0, point.place)
+    return _on_curve(point.x0, *_split_values(curve, point.t0), point.place)
 
 
 def _on_curve(x0: Fraction, p0: Fraction, q0: Fraction, place: RationalPlace) -> bool:
@@ -100,15 +104,17 @@ def _on_curve(x0: Fraction, p0: Fraction, q0: Fraction, place: RationalPlace) ->
 
 
 def evaluate_local(cls: BrauerClass, point: SurfacePoint) -> Fraction:
-    """Local invariant of the class at the point: 0 or 1/2 in Q/Z."""
+    """Local invariant of the class at the point: 0 or 1/2 in Q/Z.
+
+    Raises ValueError if the point is not on the curve over its
+    completion, and DegeneratePointError if the value is undetermined.
+    """
     if point.at_zero_section:
         return Fraction(0)
-    if not is_local_point(cls.curve, point):
+    p0, q0 = _split_values(cls.curve, point.t0)
+    if not _on_curve(point.x0, p0, q0, point.place):
         raise ValueError(f"{point} is not on the curve over its completion")
-    # is_local_point has already raised if p or q has a pole at t0.
-    t0 = point.t0
-    p0, q0 = cls.curve.split_p(t0), cls.curve.split_q(t0)
-    return _invariant(cls, point.place, t0, point.x0, p0, q0)
+    return _invariant(cls, point.place, point.t0, point.x0, p0, q0)
 
 
 def _invariant(
@@ -228,13 +234,13 @@ def excluded_parameters(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
     """
     if curve._excluded is None:
         _, _, disc = invariants(curve)
-        roots = set()
-        for poly in (disc.num, disc.den):
-            if poly.degree > 0:
-                for base, _ in poly_factor(poly).factors:
-                    if base.degree == 1:
-                        roots.add(-base.coeff(0))
-        curve._excluded = tuple(sorted(roots))
+        curve._excluded = tuple(
+            sorted(
+                -place.pi.coeff(0)
+                for place in places_of_support([disc])
+                if not place.is_infinite and place.degree == 1
+            )
+        )
     return curve._excluded
 
 
@@ -246,15 +252,14 @@ def _sampled_points(
     p and q are evaluated once per distinct t0; parameters over singular
     fibers and poles of p or q map to None and are skipped.
     """
-    p, q = curve.split_p, curve.split_q
     fibers: dict[Fraction, tuple[Fraction, Fraction] | None] = dict.fromkeys(
         excluded_parameters(curve)
     )
     for t0, x0 in _pairs_by_height(height):
         if t0 not in fibers:
             try:
-                fibers[t0] = (p(t0), q(t0))
-            except ZeroDivisionError:
+                fibers[t0] = _split_values(curve, t0)
+            except DegeneratePointError:
                 fibers[t0] = None
         values = fibers[t0]
         if values is not None and _on_curve(x0, *values, place):

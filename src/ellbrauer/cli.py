@@ -38,36 +38,25 @@ from .brauer import (
     REFERENCE_PAIR,
     AdelicPointSpec,
     DegeneratePointError,
+    SamplingReport,
     SurfacePoint,
     adelic_pairing,
     evaluate_local,
-    is_local_point,
-    local_points,
-    reference_adelic_point,
     reference_class,
     reference_curve,
-    sample_vanishing,
 )
-from .descent import (
-    CurvePoint,
-    TranscendenceVerdict,
-    brauer_image,
-    descent_image,
-    descent_pair_functions,
-    transcendence_test,
-)
+from .descent import TranscendenceVerdict, descent_image, transcendence_test
 from .elliptic import (
     ClassificationError,
     SingularCurveError,
     WeierstrassCurve,
     classify_surface,
-    invariants,
 )
-from .exactalg import Polynomial, RationalFunction, T
-from .funcfield import Place
+from .exactalg import Polynomial, T
 from .hilbert import REAL, RationalPlace, hilbert_symbol
-from .residues import QtBrauerClass, check_unramified_P1, residue_of_class
-from .squareclass import FieldMode, class_of, independent
+from .pipeline import TORSION_POINTS, Check, reference_checks
+from .residues import QtBrauerClass, check_unramified_P1
+from .squareclass import FieldMode, independent
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -402,13 +391,6 @@ def _cmd_residues(args: argparse.Namespace) -> int:
     return code
 
 
-_TORSION_LABELS = (
-    ("identity", "O", CurvePoint.zero()),
-    ("p", "(p,0)", CurvePoint.two_torsion_p()),
-    ("q", "(q,0)", CurvePoint.two_torsion_q()),
-    ("origin", "(0,0)", CurvePoint.two_torsion_origin()),
-)
-
 _MODES = {
     "ct": FieldMode.CONSTANTS_ARE_SQUARES,
     "qt": FieldMode.RATIONAL_CONSTANTS,
@@ -421,7 +403,7 @@ def _cmd_descent(args: argparse.Namespace) -> int:
     human = []
     records = []
     images = {}
-    for key, label, point in _TORSION_LABELS:
+    for key, label, point in TORSION_POINTS:
         image = descent_image(point, curve, mode)
         images[key] = image
         human.append(f"{label} : {image}")
@@ -493,6 +475,10 @@ def _point_from_args(args: argparse.Namespace) -> SurfacePoint:
     return SurfacePoint.affine(args.x, args.t, args.place)
 
 
+# evaluate_local raises a plain ValueError only for a point off the surface.
+_OFF_SURFACE = "error: {} is not on the surface over its completion"
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cls = reference_class()
     try:
@@ -501,16 +487,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if not is_local_point(cls.curve, point):
-            print(
-                f"error: {point} is not on the surface over its completion",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
         inv = evaluate_local(cls, point)
     except DegeneratePointError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
+    except ValueError:
+        print(_OFF_SURFACE.format(point), file=sys.stderr)
+        return EXIT_USAGE
     human = [f"point = {point}", f"invariant = {inv}"]
     records = [("point", str(point)), ("invariant", str(inv))]
     _emit(args.format, human, records)
@@ -518,24 +501,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
-    cls = reference_class()
+    if args.zero_section:
+        spec = AdelicPointSpec(())
+    else:
+        spec = AdelicPointSpec((SurfacePoint.affine(args.x, args.t, args.place),))
     try:
-        if args.zero_section:
-            spec = AdelicPointSpec(())
-        else:
-            point = SurfacePoint.affine(args.x, args.t, args.place)
-            if not is_local_point(cls.curve, point):
-                print(
-                    f"error: {point} is not on the surface over its "
-                    "completion",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            spec = AdelicPointSpec((point,))
-        report = adelic_pairing(cls, spec)
+        report = adelic_pairing(reference_class(), spec)
     except DegeneratePointError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
+    except ValueError:
+        print(_OFF_SURFACE.format(spec.overrides[0]), file=sys.stderr)
+        return EXIT_USAGE
     human = []
     records = []
     for place, inv in report.evaluations:
@@ -555,276 +532,45 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     return EXIT_OK if report.obstructed else EXIT_FAIL
 
 
-_EXPECTED_FIBERS = {
-    "t-3": "I_2",
-    "t-1": "I_6",
-    "t": "I_2",
-    "t+1": "I_6",
-    "t+3": "I_2",
-    "infinity": "I_6",
-}
-
-
-CheckResult = tuple[list[str], list[str]]
-
-
-def _check_surface() -> CheckResult:
-    curve = reference_curve()
-    problems = []
-    p, q = curve.split_p, curve.split_q
-    c4, c6, disc = invariants(curve)
-    if c4**3 - c6**2 != 1728 * disc:
-        problems.append("c4^3 - c6^2 != 1728 * discriminant")
-    if disc != 16 * (p * q) ** 2 * (p - q) ** 2:
-        problems.append("discriminant != 16 p^2 q^2 (p-q)^2")
-    if q != p.substitute(-T):
-        problems.append("q(t) != p(-t)")
-    if p - q != RationalFunction(48 * T):
-        problems.append("p(t) - q(t) != 48t")
-    report = classify_surface(curve)
-    found = {str(f.place): str(f.kodaira) for f in report.fibers}
-    if found != _EXPECTED_FIBERS:
-        problems.append(f"fiber table {found} != {_EXPECTED_FIBERS}")
-    for name, got, want in (
-        ("euler number", report.euler_number, 24),
-        ("chi", report.chi, 2),
-        ("K3", report.is_K3, True),
-        ("rank upper bound", report.rank_R, 20),
-        ("Mordell-Weil rank bound", report.mw_rank_bound, 0),
-        ("semistable", report.semistable, True),
-    ):
-        if got != want:
-            problems.append(f"{name} = {got}, expected {want}")
-    evidence = [
-        "q(t) = p(-t) and p(t) - q(t) = 48t",
-        "fibers " + ", ".join(f"{f.place} {f.kodaira}" for f in report.fibers),
-        "euler 24, chi 2, K3, rank bound 20, MW rank bound 0, semistable",
-    ]
-    return problems, evidence
-
-
-def _product(polys: list[Polynomial]) -> Polynomial:
-    out = Polynomial.constant(1)
-    for f in polys:
-        out = out * f
-    return out
-
-
-def _expected_image(first: list[Polynomial], second: list[Polynomial]):
-    mode = FieldMode.CONSTANTS_ARE_SQUARES
-    return (
-        class_of(RationalFunction(_product(first)), mode),
-        class_of(RationalFunction(_product(second)), mode),
-    )
-
-
-def _check_descent() -> CheckResult:
-    curve = reference_curve()
-    mode = FieldMode.CONSTANTS_ARE_SQUARES
-    problems = []
-    expectations = {
-        "p": ([T], [T, T - 1, T + 3]),
-        "q": ([T, T + 1, T - 3], [T]),
-        "origin": ([T + 1, T - 3], [T - 1, T + 3]),
-    }
-    images = {}
-    for key, _, point in _TORSION_LABELS:
-        images[key] = descent_image(point, curve, mode)
-    for key, (first, second) in expectations.items():
-        if images[key].as_tuple() != _expected_image(first, second):
-            problems.append(f"descent image at {key} is {images[key]}")
-    if not images["identity"].is_zero():
-        problems.append("identity has a nontrivial image")
-    total = images["p"] + images["q"]
-    if total.as_tuple() != images["origin"].as_tuple():
-        problems.append("images of (p,0) and (q,0) do not sum to (0,0)")
-    if not independent([images["p"].as_tuple(), images["q"].as_tuple()]):
-        problems.append("torsion images are dependent")
-    evidence = [
-        f"image (p,0) = {images['p']}",
-        f"image (q,0) = {images['q']}",
-        "images sum to the image of (0,0) and are independent",
-    ]
-    return problems, evidence
-
-
-def _check_transcendence() -> CheckResult:
-    curve = reference_curve()
-    result = transcendence_test(*REFERENCE_PAIR, curve, mw_rank_bound=0)
-    if result.verdict is not TranscendenceVerdict.TRANSCENDENTAL:
-        return [f"verdict = {result.verdict.value}, expected transcendental"], []
-    return [], [f"transcendental: {result.reason}"]
-
-
-def _check_residues() -> CheckResult:
-    problems = []
-    cls = reference_class().restrict_to_origin()
-    report = check_unramified_P1(cls)
-    if report.overall is not True:
-        problems.append(f"unramifiedness came out {report.overall}")
-    single = QtBrauerClass(cls.symbols[:1])
-    lone = residue_of_class(single, Place.at_rational(1))
-    if lone.is_trivial() is not False:
-        problems.append(
-            "the first symbol alone should ramify at t - 1; both symbols "
-            "are needed"
-        )
-    evidence = [
-        f"residues trivial at all {len(report.verdicts)} support places",
-        "the first symbol alone ramifies at t-1, so cancellation is real",
-    ]
-    return problems, evidence
-
-
-def _check_local_invariants() -> CheckResult:
-    problems = []
-    cls = reference_class()
-    two = RationalPlace.prime(2)
-    witness = SurfacePoint.affine(1, 2, two)
-    inv = evaluate_local(cls, witness)
-    if inv != Fraction(1, 2):
-        problems.append(f"invariant at {witness} = {inv}, expected 1/2")
-    torsion_x = reference_curve().split_p(2)
-    at_torsion = evaluate_local(
-        cls, SurfacePoint.affine(torsion_x, 2, two)
-    )
-    if at_torsion != 0:
-        problems.append(
-            f"invariant at the two torsion section over t = 2 is {at_torsion}"
-        )
-    evidence = [
-        f"invariant {inv} at {witness}",
-        f"invariant {at_torsion} at the torsion section over t = 2",
-    ]
-    return problems, evidence
-
-
-def _check_exactness() -> CheckResult:
-    curve = reference_curve()
-    images = [
-        (label, brauer_image(*descent_pair_functions(torsion, curve), curve))
-        for key, label, torsion in _TORSION_LABELS
-        if key != "identity"
-    ]
-    checked = 0
-    problems = []
-    for prime in (2, 3, 5):
-        place = RationalPlace.prime(prime)
-        for point in local_points(curve, place, 4, height=12):
-            for label, image in images:
-                try:
-                    inv = evaluate_local(image, point)
-                except DegeneratePointError:
-                    continue
-                checked += 1
-                if inv != 0:
-                    problems.append(
-                        f"image of {label} has invariant {inv} at {point}"
-                    )
-    if checked < 9:
-        problems.append(f"only {checked} exactness evaluations ran")
-    evidence = [
-        f"{checked} evaluations of torsion images over 2, 3 and 5, all 0"
-    ]
-    return problems, evidence
-
-
-def _check_obstruction() -> CheckResult:
-    report = adelic_pairing(reference_class(), reference_adelic_point())
-    if report.total != Fraction(1, 2) or not report.obstructed:
-        return [f"adelic sum = {report.total}, expected 1/2"], []
-    return [], ["adelic sum 1/2 at the distinguished 2-adic point"]
+def _check_keys(check: Check) -> tuple[str, str, str]:
+    """Human label, record key and evidence record key of a check."""
+    if check.place is None:
+        key = check.name.replace(" ", "_")
+        return f"check {check.name}", f"check.{key}", f"evidence.{key}"
+    key = f"sampling.{check.place}"
+    return f"sampling at {check.place}", key, f"evidence.{key}"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = [
-        ("surface", _check_surface),
-        ("descent", _check_descent),
-        ("transcendence", _check_transcendence),
-        ("residues", _check_residues),
-        ("local invariants", _check_local_invariants),
-        ("exactness", _check_exactness),
-        ("obstruction", _check_obstruction),
-    ]
+    checks = reference_checks(args.sample_places, args.samples, args.height)
     verbose = bool(os.environ.get("ELLBRAUER_VERBOSE", "").strip())
     human = []
     records = []
     failures = 0
-    for name, runner in checks:
-        problems, evidence = runner()
-        key = name.replace(" ", "_")
-        if problems:
+    for check in checks:
+        label, key, evidence_key = _check_keys(check)
+        if check.problems:
             failures += 1
-            human.append(f"check {name}: FAIL ({'; '.join(problems)})")
-            records.append((f"check.{key}", "fail"))
-        else:
-            human.append(f"check {name}: ok")
-            records.append((f"check.{key}", "pass"))
-            if verbose:
-                human.extend(f"  {line}" for line in evidence)
-                records.extend((f"evidence.{key}", line) for line in evidence)
-    sampling_note = None
-    for prime in args.sample_places:
-        place = REAL if prime == 0 else RationalPlace.prime(prime)
-        report = sample_vanishing(
-            reference_class(), place, samples=args.samples, height=args.height
-        )
-        sampling_note = report.note
-        if report.valid == 0:
-            failures += 1
-            human.append(f"sampling at {place}: FAIL (no valid points)")
-            records.append((f"sampling.{place}", "fail"))
-        elif not report.all_zero:
-            failures += 1
-            t0, x0, inv = report.nonzero[0]
-            human.append(
-                f"sampling at {place}: FAIL (invariant {inv} at "
-                f"t = {t0}, x = {x0})"
-            )
-            records.append((f"sampling.{place}", "fail"))
-        else:
-            human.append(
-                f"sampling at {place}: ok ({report.valid} points, all "
-                "invariants 0)"
-            )
-            records.append((f"sampling.{place}", "pass"))
-            if verbose:
-                detail = (
-                    f"height {report.height}, "
-                    f"{report.skipped_degenerate} degenerate skipped"
-                )
-                human.append(f"  {detail}")
-                records.append((f"evidence.sampling.{place}", detail))
-    if sampling_note:
-        human.append(f"note: {sampling_note}")
-        records.append(("note", sampling_note))
-    if failures:
-        human.append(f"FAILED: {failures} check(s)")
-        records.append(("result", "fail"))
-        _emit(args.format, human, records)
-        return EXIT_FAIL
-    human.append("ALL CHECKS PASS")
-    records.append(("result", "pass"))
-    _emit(args.format, human, records)
-    return EXIT_OK
-
-
-def _sample_place_list(text: str) -> list[int]:
-    out = []
-    for part in text.split(","):
-        part = part.strip().lower()
-        if part == "real":
-            out.append(0)
+            human.append(f"{label}: FAIL ({'; '.join(check.problems)})")
+            records.append((key, "fail"))
             continue
-        try:
-            p = int(part)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(
-                f"places must be 'real' or primes, got {part!r}"
-            ) from exc
-        RationalPlace.prime(p)
-        out.append(p)
-    return out
+        summary = f" ({check.summary})" if check.summary else ""
+        human.append(f"{label}: ok{summary}")
+        records.append((key, "pass"))
+        if verbose:
+            human.extend(f"  {line}" for line in check.evidence)
+            records.extend((evidence_key, line) for line in check.evidence)
+    if args.sample_places:
+        human.append(f"note: {SamplingReport.note}")
+        records.append(("note", SamplingReport.note))
+    human.append(f"FAILED: {failures} check(s)" if failures else "ALL CHECKS PASS")
+    records.append(("result", "fail" if failures else "pass"))
+    _emit(args.format, human, records)
+    return EXIT_FAIL if failures else EXIT_OK
+
+
+def _sample_place_list(text: str) -> list[RationalPlace]:
+    return [_parse_place(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -966,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="height budget for sampled coordinates",
     )
     ver.add_argument(
-        "--sample-places", type=_sample_place_list, default=[0, 3, 5, 7],
+        "--sample-places", type=_sample_place_list,
+        default="real,3,5,7",
         metavar="LIST",
         help="comma separated places for the vanishing samples "
         "(default real,3,5,7)",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Polynomial, RationalFunction, poly_factor
-from .funcfield import INFINITY, Place, valuation
+from .exactalg import Polynomial, RationalFunction
+from .funcfield import INFINITY, Place, places_of_support, valuation
 
 
 class SingularCurveError(ValueError):
@@ -306,16 +306,12 @@ def classify_surface(
     c4, c6, disc = invariants(curve)
     if curve.is_split:
         p, q = curve.split_p, curve.split_q
-        supports = {f for rf in (p, q, p - q) for f in (rf.num, rf.den)}
+        supports = (p, q, p - q)
     else:
-        supports = {disc.num, disc.den, c4.den, c6.den}
-    candidates: set[Place] = set()
-    for poly in supports:
-        if poly.degree > 0:
-            for base, _ in poly_factor(poly).factors:
-                candidates.add(Place(base))
+        supports = (disc, c4.den, c6.den)
+    finite = [pl for pl in places_of_support(supports) if not pl.is_infinite]
     reports = []
-    for place in sorted(candidates, key=Place.sort_key) + [INFINITY]:
+    for place in finite + [INFINITY]:
         rep = kodaira_type_at(place, curve)
         if not rep.kodaira.is_good:
             reports.append(rep)

@@ -208,12 +208,5 @@ def independent(
         return True
     zero = tuple(SquareClassVector.zero(c.mode) for c in vecs[0])
     _, gmasks = _masks(zero, vecs)
-    pivots: list[tuple[int, int]] = []
-    for row in gmasks:
-        for bit, prow in pivots:
-            if (row >> bit) & 1:
-                row ^= prow
-        if not row:
-            return False
-        pivots.append((row.bit_length() - 1, row))
-    return True
+    # Dependent exactly when some vector lies in the span of those before it.
+    return all(_solve_f2(row, gmasks[:i]) is None for i, row in enumerate(gmasks))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellbrauer import brauer
+from ellbrauer import funcfield
 from ellbrauer.brauer import (
     AdelicPointSpec,
     DegeneratePointError,
@@ -352,13 +352,14 @@ class TestLocalPoints:
     def test_discriminant_factored_once_per_curve(self, monkeypatch):
         expected = excluded_parameters(reference_curve())
         calls = []
-        original = brauer.poly_factor
+        original = funcfield.poly_factor
 
         def counting(f):
             calls.append(f)
             return original(f)
 
-        monkeypatch.setattr(brauer, "poly_factor", counting)
+        # excluded_parameters factors through funcfield.places_of_support.
+        monkeypatch.setattr(funcfield, "poly_factor", counting)
         curve = WeierstrassCurve.from_split(
             reference_curve().split_p, reference_curve().split_q
         )

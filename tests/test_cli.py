@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from ellbrauer import cli
+from ellbrauer import pipeline
 from ellbrauer.cli import ExpressionError, main, parse_poly
-from ellbrauer.exactalg import Polynomial, T
+from ellbrauer.brauer import reference_curve
+from ellbrauer.exactalg import Polynomial, RationalFunction, T
 
 
 def run(capsys, *argv):
@@ -308,6 +309,26 @@ class TestEvaluate:
         assert "--zero-section excludes --x and --t" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--x", "1", "--t", "2", "--place", "2"], ["obstruct"]],
+)
+def test_point_evaluates_p_and_q_once(capsys, monkeypatch, argv):
+    curve = reference_curve()
+    calls = []
+    original = RationalFunction.__call__
+
+    def counting(self, x):
+        if self is curve.split_p or self is curve.split_q:
+            calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(RationalFunction, "__call__", counting)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [2, 2]
+
+
 class TestObstruct:
     def test_default_adelic_point(self, capsys):
         code, lines = run(capsys, "obstruct")
@@ -362,8 +383,8 @@ class TestVerify:
     def test_exactness_builds_each_torsion_image_once(self, capsys, monkeypatch):
         built = []
         active = []
-        original_image = cli.brauer_image
-        original_check = cli._check_exactness
+        original_image = pipeline.brauer_image
+        original_check = pipeline._check_exactness
 
         def counting_image(*args):
             built.append(bool(active))
@@ -376,8 +397,8 @@ class TestVerify:
             finally:
                 active.clear()
 
-        monkeypatch.setattr(cli, "brauer_image", counting_image)
-        monkeypatch.setattr(cli, "_check_exactness", marked_check)
+        monkeypatch.setattr(pipeline, "brauer_image", counting_image)
+        monkeypatch.setattr(pipeline, "_check_exactness", marked_check)
         code, lines = run(capsys, "verify")
         assert code == 0
         assert "check exactness: ok" in lines
@@ -425,6 +446,153 @@ class TestVerify:
         assert code == 0
         assert any(line.startswith("evidence.surface = ") for line in lines)
         assert any(line.startswith("evidence.sampling.3 = ") for line in lines)
+
+
+_NOTE = (
+    "sampling gives evidence over the tested points only; vanishing on all"
+    " local points is not decided by this computation"
+)
+_SAMPLED_RUN = ("verify", "--samples", "5", "--height", "8", "--sample-places", "real,3")
+
+_PLAIN = f"""\
+check surface: ok
+check descent: ok
+check transcendence: ok
+check residues: ok
+check local invariants: ok
+check exactness: ok
+check obstruction: ok
+sampling at real: ok (5 points, all invariants 0)
+sampling at 3: ok (5 points, all invariants 0)
+note: {_NOTE}
+ALL CHECKS PASS
+"""
+
+_RECORDS = f"""\
+check.surface = pass
+check.descent = pass
+check.transcendence = pass
+check.residues = pass
+check.local_invariants = pass
+check.exactness = pass
+check.obstruction = pass
+sampling.real = pass
+sampling.3 = pass
+note = {_NOTE}
+result = pass
+"""
+
+_VERBOSE = f"""\
+check surface: ok
+  q(t) = p(-t) and p(t) - q(t) = 48t
+  fibers t-3 I_2, t-1 I_6, t I_2, t+1 I_6, t+3 I_2, infinity I_6
+  euler 24, chi 2, K3, rank bound 20, MW rank bound 0, semistable
+check descent: ok
+  image (p,0) = (t, (t-1) * t * (t+3))
+  image (q,0) = ((t-3) * t * (t+1), t)
+  images sum to the image of (0,0) and are independent
+check transcendence: ok
+  transcendental: target lies outside the span of the torsion images
+check residues: ok
+  residues trivial at all 6 support places
+  the first symbol alone ramifies at t-1, so cancellation is real
+check local invariants: ok
+  invariant 1/2 at (x = 1, t = 2) at 2
+  invariant 0 at the torsion section over t = 2
+check exactness: ok
+  36 evaluations of torsion images over 2, 3 and 5, all 0
+check obstruction: ok
+  adelic sum 1/2 at the distinguished 2-adic point
+sampling at real: ok (5 points, all invariants 0)
+  height 8, 0 degenerate skipped
+sampling at 3: ok (5 points, all invariants 0)
+  height 8, 0 degenerate skipped
+note: {_NOTE}
+ALL CHECKS PASS
+"""
+
+_VERBOSE_RECORDS = f"""\
+check.surface = pass
+evidence.surface = q(t) = p(-t) and p(t) - q(t) = 48t
+evidence.surface = fibers t-3 I_2, t-1 I_6, t I_2, t+1 I_6, t+3 I_2, infinity I_6
+evidence.surface = euler 24, chi 2, K3, rank bound 20, MW rank bound 0, semistable
+check.descent = pass
+evidence.descent = image (p,0) = (t, (t-1) * t * (t+3))
+evidence.descent = image (q,0) = ((t-3) * t * (t+1), t)
+evidence.descent = images sum to the image of (0,0) and are independent
+check.transcendence = pass
+evidence.transcendence = transcendental: target lies outside the span of the torsion images
+check.residues = pass
+evidence.residues = residues trivial at all 6 support places
+evidence.residues = the first symbol alone ramifies at t-1, so cancellation is real
+check.local_invariants = pass
+evidence.local_invariants = invariant 1/2 at (x = 1, t = 2) at 2
+evidence.local_invariants = invariant 0 at the torsion section over t = 2
+check.exactness = pass
+evidence.exactness = 36 evaluations of torsion images over 2, 3 and 5, all 0
+check.obstruction = pass
+evidence.obstruction = adelic sum 1/2 at the distinguished 2-adic point
+sampling.real = pass
+evidence.sampling.real = height 8, 0 degenerate skipped
+sampling.3 = pass
+evidence.sampling.3 = height 8, 0 degenerate skipped
+note = {_NOTE}
+result = pass
+"""
+
+_FAILING = f"""\
+check surface: ok
+check descent: ok
+check transcendence: ok
+check residues: ok
+check local invariants: ok
+check exactness: ok
+check obstruction: ok
+sampling at 2: FAIL (invariant 1/2 at t = -2, x = 1)
+note: {_NOTE}
+FAILED: 1 check(s)
+"""
+
+
+class TestVerifyOutput:
+    """The whole verify output, byte for byte, in every rendering."""
+
+    @pytest.mark.parametrize(
+        "verbose, extra, expected",
+        [
+            ("", (), _PLAIN),
+            ("", ("--format", "records"), _RECORDS),
+            ("1", (), _VERBOSE),
+            ("1", ("--format", "records"), _VERBOSE_RECORDS),
+        ],
+        ids=["plain", "records", "verbose", "verbose-records"],
+    )
+    def test_sampled_run(self, capsys, monkeypatch, verbose, extra, expected):
+        monkeypatch.setenv("ELLBRAUER_VERBOSE", verbose)
+        code = main([*_SAMPLED_RUN, *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, expected, "")
+
+    def test_failing_sampling_place(self, capsys, monkeypatch):
+        monkeypatch.delenv("ELLBRAUER_VERBOSE", raising=False)
+        code = main(["verify", "--sample-places", "2", "--samples", "30"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, _FAILING, "")
+
+    @pytest.mark.parametrize(
+        "places, message",
+        [
+            ("3,4", "4 is not prime"),
+            ("real,x", "place must be 'real' or a prime, got 'x'"),
+        ],
+    )
+    def test_bad_sample_place_is_usage_error(self, capsys, places, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--sample-places", places])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --sample-places: {message}" in err
+        assert "_sample_place_list" not in err
 
 
 class TestTopLevel:
