@@ -15,16 +15,16 @@ adelic point concentrated at the prime 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
+from ._valueclass import value_class
 from .descent import BrauerClass, _coordinate_value, brauer_image
-from .elliptic import WeierstrassCurve, invariants
+from .elliptic import WeierstrassCurve, candidate_places, invariants
 from .exactalg import Polynomial, T
-from .funcfield import places_of_support
+from .funcfield import valuation
 from .hilbert import RationalPlace, hilbert_symbol, qp_is_square
 
 
@@ -51,7 +51,7 @@ def reference_class() -> BrauerClass:
     return brauer_image(*REFERENCE_PAIR, reference_curve())
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfacePoint:
     """A point of the surface over the completion of Q at a place.
 
@@ -148,7 +148,7 @@ def _invariant(
     return Fraction(flips % 2, 2)
 
 
-@dataclass(frozen=True)
+@value_class
 class AdelicPointSpec:
     """Adelic point: the zero section everywhere, except listed overrides."""
 
@@ -167,7 +167,7 @@ def reference_adelic_point() -> AdelicPointSpec:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class ObstructionReport:
     """Per-place invariants of an adelic point against one Brauer class."""
 
@@ -230,6 +230,8 @@ def _pairs_by_height(height: int) -> Iterator[tuple[Fraction, Fraction]]:
 def excluded_parameters(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
     """Rational t0 over singular fibers: roots of the discriminant's support.
 
+    The support is read off the candidate places of the fiber
+    classification, so nothing is factored beyond what it factors.
     Computed once per curve and cached on it.
     """
     if curve._excluded is None:
@@ -237,8 +239,8 @@ def excluded_parameters(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
         curve._excluded = tuple(
             sorted(
                 -place.pi.coeff(0)
-                for place in places_of_support([disc])
-                if not place.is_infinite and place.degree == 1
+                for place in candidate_places(curve)
+                if place.degree == 1 and valuation(place, disc) != 0
             )
         )
     return curve._excluded
@@ -283,7 +285,7 @@ def local_points(
     return [SurfacePoint.affine(x0, t0, place) for t0, x0, _, _ in pairs]
 
 
-@dataclass(frozen=True)
+@value_class
 class SamplingReport:
     """Evaluation of a class over sampled local points at one place.
 

@@ -570,7 +570,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sample_place_list(text: str) -> list[RationalPlace]:
-    return [_parse_place(part) for part in text.split(",")]
+    places = [_parse_place(part) for part in text.split(",")]
+    for i, place in enumerate(places):
+        if place in places[:i]:
+            raise argparse.ArgumentTypeError(f"place {place} is listed twice")
+    return places
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,20 +11,33 @@ At the three finite 2-torsion points one coordinate vanishes, and the
 usual representative is replaced through y^2 = x (x - p) (x - q): the pair
 for (p, 0) is (p - q, p (p - q)), the pair for (q, 0) is (q (q - p), q - p),
 and (0, 0) is handled through the group law as the sum of the other two.
+
+Square classes are multiplicative, so with C the class of a function the
+torsion images are sums of the classes of p, q and p - q, whose factors
+are kept on the curve (elliptic.split_factors), and no product is ever
+factored:
+
+    (p, 0) -> (C(p - q), C(p) + C(p - q))
+    (q, 0) -> (C(q) + C(q - p), C(q - p)),   C(q - p) = C(p - q) + C(-1)
+    (0, 0) -> their sum, (C(q) + C(-1), C(p) + C(-1))
+
+Affine points, and callers that need the pair functions themselves, use
+descent_pair_functions.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._valueclass import value_class
 from .exactalg import RationalFunction
-from .elliptic import WeierstrassCurve
+from .elliptic import WeierstrassCurve, split_factors
 from .residues import QtBrauerClass, _SymbolSum
 from .squareclass import (
     FieldMode,
     SquareClassVector,
+    class_from_factors,
     class_of,
     in_span,
     independent,
@@ -39,7 +52,7 @@ class PointKind(enum.Enum):
     AFFINE = "affine"
 
 
-@dataclass(frozen=True)
+@value_class
 class CurvePoint:
     """A point of the generic fiber, with coordinates in Q(t) when affine."""
 
@@ -74,7 +87,7 @@ class CurvePoint:
         return self.kind.value
 
 
-@dataclass(frozen=True)
+@value_class
 class DescentPair:
     """Pair of square classes, one per coordinate of the descent map."""
 
@@ -104,20 +117,24 @@ class DescentPair:
         return f"({self.first}, {self.second})"
 
 
-def _require_split(curve: WeierstrassCurve) -> tuple[RationalFunction, RationalFunction]:
+def _require_split(
+    curve: WeierstrassCurve,
+) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
+    """p, q and p - q of a split curve on which 0, p and q are distinct."""
     if not curve.is_split:
         raise ValueError("descent requires the split form y^2 = x(x-p)(x-q)")
     p, q = curve.split_p, curve.split_q
-    if (p - q).is_zero() or p.is_zero() or q.is_zero():
+    p_minus_q = p - q
+    if p_minus_q.is_zero() or p.is_zero() or q.is_zero():
         raise ValueError("split curve is degenerate: 0, p, q must be distinct")
-    return p, q
+    return p, q, p_minus_q
 
 
 def descent_pair_functions(
     point: CurvePoint, curve: WeierstrassCurve
 ) -> tuple[RationalFunction, RationalFunction]:
     """Representative functions in Q(t)* for the descent image of a point."""
-    p, q = _require_split(curve)
+    p, q, _ = _require_split(curve)
     one = RationalFunction(1)
     if point.kind is PointKind.ZERO:
         return one, one
@@ -140,14 +157,48 @@ def descent_pair_functions(
     return x0 - q, x0 - p
 
 
+_TORSION_KINDS = (
+    PointKind.TWO_TORSION_P,
+    PointKind.TWO_TORSION_Q,
+    PointKind.TWO_TORSION_ORIGIN,
+)
+
+
 def descent_image(
     point: CurvePoint, curve: WeierstrassCurve, mode: FieldMode
 ) -> DescentPair:
-    """Square-class pair of a point under the mod-2 descent map."""
+    """Square-class pair of a point under the mod-2 descent map.
+
+    A 2-torsion image is a sum of the classes of p, q and p - q (see the
+    module docstring); other points factor their pair functions.
+    """
     if mode is FieldMode.RATIONALS_ONLY:
         raise ValueError("descent images live over Q(t) or C(t)")
+    if point.kind in _TORSION_KINDS:
+        return _torsion_image(point.kind, curve, mode)
     f, g = descent_pair_functions(point, curve)
     return DescentPair(class_of(f, mode), class_of(g, mode))
+
+
+def _torsion_image(
+    kind: PointKind, curve: WeierstrassCurve, mode: FieldMode
+) -> DescentPair:
+    p, q, p_minus_q = _require_split(curve)
+
+    def c(f: RationalFunction) -> SquareClassVector:
+        return class_from_factors(*split_factors(curve, f), mode)
+
+    minus_one = SquareClassVector(
+        mode, mode is FieldMode.RATIONAL_CONSTANTS, frozenset(), frozenset()
+    )
+    if kind is PointKind.TWO_TORSION_ORIGIN:
+        # C(p - q) + C(q - p) = C(-1), so p - q drops out of the sum.
+        return DescentPair(c(q) + minus_one, c(p) + minus_one)
+    c_pq = c(p_minus_q)
+    if kind is PointKind.TWO_TORSION_P:
+        return DescentPair(c_pq, c(p) + c_pq)
+    c_qp = c_pq + minus_one
+    return DescentPair(c(q) + c_qp, c_qp)
 
 
 class CurveCoordinate(enum.Enum):
@@ -251,7 +302,7 @@ class TranscendenceVerdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@value_class
 class TranscendenceResult:
     verdict: TranscendenceVerdict
     target: DescentPair

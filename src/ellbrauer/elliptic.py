@@ -12,11 +12,11 @@ independent in the Neron-Severi group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Polynomial, RationalFunction
+from ._valueclass import value_class
+from .exactalg import Factorization, Polynomial, RationalFunction, poly_factor
 from .funcfield import INFINITY, Place, places_of_support, valuation
 
 
@@ -32,7 +32,8 @@ class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
 
     __slots__ = (
-        "a1", "a2", "a3", "a4", "a6", "split_p", "split_q", "_inv", "_excluded"
+        "a1", "a2", "a3", "a4", "a6", "split_p", "split_q",
+        "_inv", "_excluded", "_factors",
     )
 
     def __init__(self, a1, a2, a3, a4, a6) -> None:
@@ -47,6 +48,8 @@ class WeierstrassCurve:
         self._inv = None
         # Filled in by brauer.excluded_parameters.
         self._excluded: tuple[Fraction, ...] | None = None
+        # Filled in by split_factors, one entry per polynomial factored.
+        self._factors: dict[Polynomial, Factorization] = {}
 
     @staticmethod
     def from_split(p, q) -> "WeierstrassCurve":
@@ -101,7 +104,47 @@ def invariants(
     return curve._inv
 
 
-@dataclass(frozen=True)
+def split_factors(
+    curve: WeierstrassCurve, f: RationalFunction
+) -> tuple[Factorization, Factorization]:
+    """Factorizations of the numerator and denominator of f = p, q or p - q.
+
+    Each polynomial is factored once per curve and kept on it, so fiber
+    classification, excluded parameters and the torsion descent images
+    share the work.
+    """
+    cache = curve._factors
+    for poly in (f.num, f.den):
+        if poly not in cache:
+            cache[poly] = poly_factor(poly)
+    return cache[f.num], cache[f.den]
+
+
+def candidate_places(curve: WeierstrassCurve) -> list[Place]:
+    """Sorted finite places where the fiber can be singular.
+
+    A place can only be bad if the discriminant has nonzero valuation
+    there or some invariant has a pole, so the candidates are the support
+    of disc and the denominator factors of c4 and c6.  On a split curve
+    the factors of p, q and p - q are used instead; their support
+    contains that set, since disc = 16 p^2 q^2 (p - q)^2 and c4, c6 are
+    polynomials in p and q.
+    """
+    c4, c6, disc = invariants(curve)
+    if not curve.is_split:
+        places = places_of_support((disc, c4.den, c6.den))
+        return [pl for pl in places if not pl.is_infinite]
+    p, q = curve.split_p, curve.split_q
+    bases = {
+        base
+        for f in (p, q, p - q)
+        for fac in split_factors(curve, f)
+        for base, _ in fac.factors
+    }
+    return sorted(map(Place, bases), key=Place.sort_key)
+
+
+@value_class
 class KodairaType:
     """Fiber type: kind in {good, I, II, III, IV, I*, IV*, III*, II*}."""
 
@@ -218,7 +261,7 @@ def minimalize_at(
     return scaled, n
 
 
-@dataclass(frozen=True)
+@value_class
 class FiberReport:
     place: Place
     kodaira: KodairaType
@@ -275,7 +318,7 @@ def _classify(vc4: int | None, vc6: int | None, vd: int) -> KodairaType:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfaceReport:
     """Bad fibers plus the numerology they force on the elliptic surface."""
 
@@ -294,24 +337,12 @@ def classify_surface(
 ) -> SurfaceReport:
     """Classify every bad fiber and aggregate the surface invariants.
 
-    A place can only be bad if the discriminant has nonzero valuation
-    there or some invariant has a pole, so the candidate set is the
-    support of disc, the denominator factors of c4 and c6, and infinity.
-    On a split curve the support of p, q and p - q is factored instead;
-    it contains that set, since disc = 16 p^2 q^2 (p - q)^2 and c4, c6
-    are polynomials in p and q.
+    The fibers over candidate_places and over infinity are classified.
     Euler contributions and component counts are weighted by the degree
     of the place, which is the number of geometric points below it.
     """
-    c4, c6, disc = invariants(curve)
-    if curve.is_split:
-        p, q = curve.split_p, curve.split_q
-        supports = (p, q, p - q)
-    else:
-        supports = (disc, c4.den, c6.den)
-    finite = [pl for pl in places_of_support(supports) if not pl.is_infinite]
     reports = []
-    for place in finite + [INFINITY]:
+    for place in candidate_places(curve) + [INFINITY]:
         rep = kodaira_type_at(place, curve)
         if not rep.kodaira.is_good:
             reports.append(rep)

@@ -20,11 +20,12 @@ a general-purpose factorizer for large random inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence, Union
+
+from ._valueclass import value_class
 
 Scalar = Union[int, Fraction]
 
@@ -440,7 +441,7 @@ def _coerce_rf(x: object) -> RationalFunction | None:
     return None if p is None else RationalFunction(p)
 
 
-@dataclass(frozen=True)
+@value_class
 class Factorization:
     """Product unit * prod(base**exp) with monic irreducible bases in sort order."""
 

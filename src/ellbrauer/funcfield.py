@@ -10,10 +10,10 @@ polynomial representatives, never as rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from ._valueclass import value_class
 from .exactalg import (
     Polynomial,
     RationalFunction,
@@ -28,7 +28,7 @@ class UnsupportedResidueFieldError(ValueError):
     """Raised when a rational residue is requested at a place of degree >= 2."""
 
 
-@dataclass(frozen=True)
+@value_class
 class Place:
     """A closed point of P^1 over Q: a monic irreducible pi, or infinity."""
 
@@ -92,7 +92,7 @@ def valuation(place: Place, f: FieldElement) -> int:
     return _multiplicity(place.pi, rf.num) - _multiplicity(place.pi, rf.den)
 
 
-@dataclass(frozen=True)
+@value_class
 class UnitPart:
     """Valuation v and the residue of f * pi^(-v) in the residue field Q."""
 

@@ -17,11 +17,11 @@ without factoring, so the arguments may be large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from ._valueclass import value_class
 from .exactalg import int_factor
 
 Rat = Union[int, Fraction]
@@ -40,7 +40,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@value_class
 class RationalPlace:
     """A place of Q: a prime p, or None for the real place."""
 
@@ -70,7 +70,7 @@ class RationalPlace:
 REAL = RationalPlace.real()
 
 
-@dataclass(frozen=True)
+@value_class
 class SymbolValue:
     sign: int
 
@@ -173,7 +173,7 @@ def qp_is_square(a: Rat, place: RationalPlace) -> bool:
     return _unit_legendre(u, p) == 1
 
 
-@dataclass(frozen=True)
+@value_class
 class ProductFormulaReport:
     a: Fraction
     b: Fraction

@@ -7,9 +7,9 @@ vanishing of the reference class adds one check per place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._valueclass import value_class
 from .brauer import (
     REFERENCE_PAIR, DegeneratePointError, SurfacePoint, adelic_pairing,
     evaluate_local, local_points, reference_adelic_point, reference_class,
@@ -37,7 +37,7 @@ TORSION_POINTS = (
 _EXPECTED_FIBERS = "t-3 I_2, t-1 I_6, t I_2, t+1 I_6, t+3 I_2, infinity I_6"
 
 
-@dataclass(frozen=True)
+@value_class
 class Check:
     """A check passes when problems is empty; evidence backs its values.
 

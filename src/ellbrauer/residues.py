@@ -15,9 +15,9 @@ reported as undetermined, never silently assumed trivial.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._valueclass import value_class
 from .exactalg import Polynomial, RationalFunction, rat_is_square
 from .funcfield import Place, places_of_support, reduced_unit, unit_part, valuation
 from .squareclass import FieldMode, SquareClassVector, class_of
@@ -100,7 +100,7 @@ class Verdict(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
+@value_class
 class ResidueVerdict:
     place: Place
     kind: Verdict
@@ -166,7 +166,7 @@ def residue_of_class(cls: QtBrauerClass, place: Place) -> ResidueVerdict:
     return ResidueVerdict(place, Verdict.CLASS, total)
 
 
-@dataclass(frozen=True)
+@value_class
 class UnramifiednessReport:
     """Residue verdicts over the support, with places elsewhere trivial."""
 

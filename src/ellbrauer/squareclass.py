@@ -13,11 +13,13 @@ constant and the basis is -1 and the primes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactalg import Polynomial, RationalFunction, int_factor, poly_factor
+from ._valueclass import value_class
+from .exactalg import (
+    Factorization, Polynomial, RationalFunction, int_factor, poly_factor
+)
 
 FieldElement = Union[Polynomial, RationalFunction, Fraction, int]
 
@@ -28,7 +30,7 @@ class FieldMode(enum.Enum):
     RATIONALS_ONLY = "Q"
 
 
-@dataclass(frozen=True)
+@value_class
 class SquareClassVector:
     """Mod-2 exponent vector of a square class, tagged with its field mode."""
 
@@ -106,13 +108,23 @@ def class_of(f: FieldElement, mode: FieldMode) -> SquareClassVector:
         raise ValueError("0 has no square class")
     if mode is FieldMode.RATIONALS_ONLY and not rf.is_constant():
         raise ValueError(f"{rf} is not a rational constant")
-    num_fac = poly_factor(rf.num)
-    den_fac = poly_factor(rf.den)
+    return class_from_factors(poly_factor(rf.num), poly_factor(rf.den), mode)
+
+
+def class_from_factors(
+    num: Factorization, den: Factorization, mode: FieldMode
+) -> SquareClassVector:
+    """Square class of the quotient of two factored polynomials.
+
+    Square classes are multiplicative, so a caller holding the factors of
+    p and q gets the class of p * q as the sum of their classes, and
+    never factors the product.
+    """
     exps: dict[Polynomial, int] = {}
-    for base, e in num_fac.factors + den_fac.factors:
+    for base, e in num.factors + den.factors:
         exps[base] = exps.get(base, 0) + e
     polys = frozenset(base for base, e in exps.items() if e % 2)
-    unit = num_fac.unit / den_fac.unit
+    unit = num.unit / den.unit
     if mode is FieldMode.CONSTANTS_ARE_SQUARES:
         return SquareClassVector(mode, False, frozenset(), polys)
     sign_n, primes_n = int_factor(unit.numerator)

@@ -1,17 +1,24 @@
 """Inputs that must finish within a wall-clock budget.
 
-Each case runs the CLI in-process and asserts both its output and its
-elapsed time, in the style of the acceptance suite's `crit.elapsed`
-budgets.  The expected outputs were produced by the earlier classifier,
-which factored the full discriminant and took about 47 s on the first
-case.
+Each case runs the CLI in-process or calls the library, and asserts both
+its output and its elapsed time, in the style of the acceptance suite's
+`crit.elapsed` budgets.  The expected fiber table was produced by the
+earlier classifier, which factored the full discriminant and took about
+47 s; the torsion images are checked against sympy's factorizations.
 """
 
 import contextlib
 import io
 import time
+from fractions import Fraction
+
+import pytest
 
 from ellbrauer.cli import main as cli_main
+from ellbrauer.descent import CurvePoint, descent_image, descent_pair_functions
+from ellbrauer.elliptic import WeierstrassCurve
+from ellbrauer.exactalg import Polynomial, T
+from ellbrauer.squareclass import FieldMode, SquareClassVector
 
 
 class _Budget:
@@ -56,3 +63,56 @@ def test_fibers_with_degree_32_discriminant():
         "semistable = yes",
     ]
     assert budget.elapsed < 2.0
+
+
+def _sympy_class(f, mode: FieldMode, sympy) -> SquareClassVector:
+    """The square class of f in the given mode, factored by sympy."""
+    t = sympy.Symbol("t")
+    unit = Fraction(1)
+    exps: dict[Polynomial, int] = {}
+    for poly, sign in ((f.num, 1), (f.den, -1)):
+        expr = sum(
+            sympy.Rational(c.numerator, c.denominator) * t**i
+            for i, c in enumerate(poly.coeffs)
+        )
+        const, factors = sympy.factor_list(expr, t)
+        unit *= Fraction(str(const)) ** sign
+        for base, e in factors:
+            coeffs = sympy.Poly(base, t).all_coeffs()[::-1]
+            b = Polynomial([Fraction(str(c)) for c in coeffs])
+            unit *= b.leading() ** (sign * e)
+            exps[b.monic()] = exps.get(b.monic(), 0) + e
+    polys = frozenset(b for b, e in exps.items() if e % 2)
+    if mode is FieldMode.CONSTANTS_ARE_SQUARES:
+        return SquareClassVector(mode, False, frozenset(), polys)
+    primes = frozenset(
+        p for n in (unit.numerator, unit.denominator)
+        for p, e in sympy.factorint(abs(n)).items() if e % 2
+    )
+    return SquareClassVector(mode, unit < 0, primes, polys)
+
+
+def test_torsion_images_of_the_fibers_curve():
+    # Factoring the pair-function products, such as q (q - p) of degree
+    # 10, took 35 s for the image of (q, 0) alone.
+    sympy = pytest.importorskip("sympy")
+    curve = WeierstrassCurve.from_split(
+        (T**4 + T + 1) * (T**2 + 1), T**4 + 3 * T**2 + 7
+    )
+    points = [
+        CurvePoint.two_torsion_p(),
+        CurvePoint.two_torsion_q(),
+        CurvePoint.two_torsion_origin(),
+    ]
+    modes = [FieldMode.RATIONAL_CONSTANTS, FieldMode.CONSTANTS_ARE_SQUARES]
+    with _Budget() as budget:
+        images = {
+            (point, mode): descent_image(point, curve, mode)
+            for mode in modes
+            for point in points
+        }
+    assert budget.elapsed < 2.0
+    for (point, mode), image in images.items():
+        pair = descent_pair_functions(point, curve)
+        expected = tuple(_sympy_class(f, mode, sympy) for f in pair)
+        assert image.as_tuple() == expected

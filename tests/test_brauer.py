@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellbrauer import funcfield
+from ellbrauer import elliptic, funcfield, squareclass
 from ellbrauer.brauer import (
     AdelicPointSpec,
     DegeneratePointError,
@@ -71,6 +71,12 @@ class TestReferenceData:
             Fraction(1),
             Fraction(3),
         )
+
+    def test_excluded_parameters_skip_a_unit_discriminant(self):
+        # p = t^2, q = 1/t: v_t(p) + v_t(q) + v_t(p - q) = 2 - 1 - 1 = 0, so
+        # disc is a unit at t although t divides p; p - q = (t^3 - 1)/t.
+        curve = WeierstrassCurve.from_split(T**2, RationalFunction(1, T))
+        assert excluded_parameters(curve) == (Fraction(1),)
 
 
 class TestIsLocalPoint:
@@ -349,26 +355,30 @@ class TestLocalPoints:
                 assert len(seen) > 10
                 assert max(seen) == 1
 
-    def test_discriminant_factored_once_per_curve(self, monkeypatch):
+    def test_support_factored_once_per_curve(self, monkeypatch):
         expected = excluded_parameters(reference_curve())
         calls = []
-        original = funcfield.poly_factor
+        original = elliptic.poly_factor
 
         def counting(f):
             calls.append(f)
             return original(f)
 
-        # excluded_parameters factors through funcfield.places_of_support.
-        monkeypatch.setattr(funcfield, "poly_factor", counting)
-        curve = WeierstrassCurve.from_split(
-            reference_curve().split_p, reference_curve().split_q
-        )
+        # excluded_parameters reads the factors of p, q and p - q that
+        # elliptic.split_factors keeps on the curve; nothing else factors.
+        for module in (elliptic, funcfield, squareclass):
+            monkeypatch.setattr(module, "poly_factor", counting)
+        p, q = reference_curve().split_p, reference_curve().split_q
+        curve = WeierstrassCurve.from_split(p, q)
         cls = brauer_image(6 * T * (T + 1), 6 * T * (T - 1), curve)
         for place in (REAL, THREE, RationalPlace.prime(5)):
             sample_vanishing(cls, place, samples=10, height=8)
             assert excluded_parameters(curve) == expected
         local_points(curve, TWO, 10, height=8)
-        assert len(calls) == 1
+        # p - q = 48 t; every denominator is 1.
+        assert Counter(calls) == Counter(
+            [p.num, q.num, (p - q).num, Polynomial.constant(1)]
+        )
 
 
 class TestSampling:

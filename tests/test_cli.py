@@ -584,6 +584,8 @@ class TestVerifyOutput:
         [
             ("3,4", "4 is not prime"),
             ("real,x", "place must be 'real' or a prime, got 'x'"),
+            ("3,3,real", "place 3 is listed twice"),
+            ("real,5,REAL", "place real is listed twice"),
         ],
     )
     def test_bad_sample_place_is_usage_error(self, capsys, places, message):

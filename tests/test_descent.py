@@ -6,9 +6,13 @@ swapping it flips which Hilbert symbols appear at the distinguished two
 adic point and breaks the exactness checks there.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
-from ellbrauer.brauer import reference_curve
+from ellbrauer import exactalg
+from ellbrauer.brauer import excluded_parameters, reference_curve
 from ellbrauer.descent import (
     BrauerClass,
     CurveCoordinate,
@@ -21,7 +25,7 @@ from ellbrauer.descent import (
     descent_pair_functions,
     transcendence_test,
 )
-from ellbrauer.elliptic import WeierstrassCurve
+from ellbrauer.elliptic import WeierstrassCurve, classify_surface
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
 from ellbrauer.squareclass import FieldMode, SquareClassVector, class_of, independent
 
@@ -143,6 +147,69 @@ class TestDescentImage:
     def test_rationals_only_mode_rejected(self):
         with pytest.raises(ValueError):
             descent_image(CurvePoint.two_torsion_p(), reference_curve(), FieldMode.RATIONALS_ONLY)
+
+
+# Split curves whose p, q and p - q cover linear, repeated linear and
+# irreducible quadratic factors, constants, an irreducible cubic and
+# quartic p - q, and rational p.
+SPLIT_CURVES = [
+    (3 * (T - 1) ** 3 * (T + 3), 3 * (T + 1) ** 3 * (T - 3)),
+    ((T**2 + 1) * (T - 2) ** 2, 5 * T * (T + 1)),  # p - q irreducible quartic
+    (T**2 * (T + 2), 3 - T),  # p - q = t^3 + 2t^2 + t - 3, irreducible
+    (T**4 + T**2 + T + 1, T**2),  # p - q = t^4 + t + 1, irreducible
+    (RationalFunction(T**2 + 1, T - 2), T**3),
+    (RationalFunction(1, T), 2 * (T + 1) ** 2),
+]
+TORSION = [
+    CurvePoint.two_torsion_p(),
+    CurvePoint.two_torsion_q(),
+    CurvePoint.two_torsion_origin(),
+]
+
+
+class TestTorsionImagesFromFactors:
+    @pytest.mark.parametrize("mode", [QT, CT])
+    @pytest.mark.parametrize("index", range(len(SPLIT_CURVES)))
+    def test_equal_to_class_of_pair_functions(self, index, mode):
+        curve = WeierstrassCurve.from_split(*SPLIT_CURVES[index])
+        for point in TORSION:
+            f, g = descent_pair_functions(point, curve)
+            expected = DescentPair(class_of(f, mode), class_of(g, mode))
+            assert descent_image(point, curve, mode) == expected
+
+    @pytest.mark.parametrize("index", [1, 2, 4])
+    def test_each_polynomial_factored_once_per_curve(self, index, monkeypatch):
+        p, q = SPLIT_CURVES[index]
+        p, q = RationalFunction.coerce(p), RationalFunction.coerce(q)
+        f, g = 7 * (T + 5), (T - 11) * (T**2 + 3)
+        modules = [
+            m for name, m in sys.modules.items()
+            if name.startswith("ellbrauer") and hasattr(m, "poly_factor")
+        ]
+        original = exactalg.poly_factor
+        calls = Counter()
+
+        def counting(poly):
+            calls[poly] += 1
+            return original(poly)
+
+        for module in modules:
+            monkeypatch.setattr(module, "poly_factor", counting)
+        curve = WeierstrassCurve.from_split(p, q)
+        classify_surface(curve)
+        excluded_parameters(curve)
+        for mode in (QT, CT):
+            for point in TORSION:
+                descent_image(point, curve, mode)
+        transcendence_test(f, g, curve, mw_rank_bound=0)
+        # Constant polynomials are units; factoring them costs nothing.
+        expected = {
+            poly: 1
+            for h in (p, q, p - q, RationalFunction(f), RationalFunction(g))
+            for poly in (h.num, h.den)
+            if not poly.is_constant()
+        }
+        assert {k: n for k, n in calls.items() if not k.is_constant()} == expected
 
 
 class TestDescentPair:
