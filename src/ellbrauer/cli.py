@@ -64,6 +64,9 @@ EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
 
 _MAX_EXPONENT = 512
+# Checked before a product or power is expanded, so that nested powers
+# such as ((t+1)^30)^30 are refused instead of built.
+_MAX_DEGREE = 512
 
 
 class ExpressionError(ValueError):
@@ -119,7 +122,9 @@ class _ExprParser:
         value = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            value = value * self._factor()
+            rhs = self._factor()
+            self._check_degree(value.degree + rhs.degree)
+            value = value * rhs
         return value
 
     def _factor(self) -> Polynomial:
@@ -133,7 +138,14 @@ class _ExprParser:
                 f"exponent {exponent} exceeds the limit {_MAX_EXPONENT}",
                 self.pos,
             )
+        self._check_degree(base.degree * exponent)
         return base**exponent
+
+    def _check_degree(self, degree: int) -> None:
+        if degree > _MAX_DEGREE:
+            raise ExpressionError(
+                f"degree {degree} exceeds the limit {_MAX_DEGREE}", self.pos
+            )
 
     def _atom(self) -> Polynomial:
         ch = self._peek()

@@ -123,8 +123,7 @@ def _require_split(
     """p, q and p - q of a split curve on which 0, p and q are distinct."""
     if not curve.is_split:
         raise ValueError("descent requires the split form y^2 = x(x-p)(x-q)")
-    p, q = curve.split_p, curve.split_q
-    p_minus_q = p - q
+    p, q, p_minus_q = curve.split_p, curve.split_q, curve.split_p_minus_q
     if p_minus_q.is_zero() or p.is_zero() or q.is_zero():
         raise ValueError("split curve is degenerate: 0, p, q must be distinct")
     return p, q, p_minus_q
@@ -134,14 +133,14 @@ def descent_pair_functions(
     point: CurvePoint, curve: WeierstrassCurve
 ) -> tuple[RationalFunction, RationalFunction]:
     """Representative functions in Q(t)* for the descent image of a point."""
-    p, q, _ = _require_split(curve)
+    p, q, p_minus_q = _require_split(curve)
     one = RationalFunction(1)
     if point.kind is PointKind.ZERO:
         return one, one
     if point.kind is PointKind.TWO_TORSION_P:
-        return p - q, p * (p - q)
+        return p_minus_q, p * p_minus_q
     if point.kind is PointKind.TWO_TORSION_Q:
-        return q * (q - p), q - p
+        return q * -p_minus_q, -p_minus_q
     if point.kind is PointKind.TWO_TORSION_ORIGIN:
         # (0, 0) = (p, 0) + (q, 0) in the group law.
         fp, sp = descent_pair_functions(CurvePoint.two_torsion_p(), curve)

@@ -32,7 +32,7 @@ class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
 
     __slots__ = (
-        "a1", "a2", "a3", "a4", "a6", "split_p", "split_q",
+        "a1", "a2", "a3", "a4", "a6", "split_p", "split_q", "split_p_minus_q",
         "_inv", "_excluded", "_factors",
     )
 
@@ -44,6 +44,7 @@ class WeierstrassCurve:
         self.a6 = RationalFunction.coerce(a6)
         self.split_p: RationalFunction | None = None
         self.split_q: RationalFunction | None = None
+        self.split_p_minus_q: RationalFunction | None = None
         self._inv: tuple[RationalFunction, RationalFunction, RationalFunction] | None
         self._inv = None
         # Filled in by brauer.excluded_parameters.
@@ -58,6 +59,7 @@ class WeierstrassCurve:
         curve = WeierstrassCurve(0, -(p + q), 0, p * q, 0)
         curve.split_p = p
         curve.split_q = q
+        curve.split_p_minus_q = p - q
         return curve
 
     @property
@@ -134,10 +136,9 @@ def candidate_places(curve: WeierstrassCurve) -> list[Place]:
     if not curve.is_split:
         places = places_of_support((disc, c4.den, c6.den))
         return [pl for pl in places if not pl.is_infinite]
-    p, q = curve.split_p, curve.split_q
     bases = {
         base
-        for f in (p, q, p - q)
+        for f in (curve.split_p, curve.split_q, curve.split_p_minus_q)
         for fac in split_factors(curve, f)
         for base, _ in fac.factors
     }
@@ -256,8 +257,11 @@ def minimalize_at(
         curve.a4 / u**4,
         curve.a6 / u**6,
     )
-    scaled.split_p = None if curve.split_p is None else curve.split_p / u**2
-    scaled.split_q = None if curve.split_q is None else curve.split_q / u**2
+    if curve.is_split:
+        u2 = u**2
+        scaled.split_p = curve.split_p / u2
+        scaled.split_q = curve.split_q / u2
+        scaled.split_p_minus_q = curve.split_p_minus_q / u2
     return scaled, n
 
 

@@ -12,7 +12,16 @@ omega(u) = (u^2-1)/8 taken mod 2,
     (a, b)_2 = (-1)^(eps(u)*eps(w) + alpha*omega(w) + beta*omega(u)).
 
 All arguments are exact rationals; valuations and unit parts are computed
-without factoring, so the arguments may be large.
+without factoring, so the arguments may be large.  Legendre symbols are
+Jacobi symbols computed by quadratic reciprocity (Cohen, GTM 138, 1.4),
+and a place's prime is checked once, when the place is built.
+
+Primality is decided by trial division by the primes 2..41, then by strong
+Miller-Rabin tests to those 13 bases, which is exact below
+3317044064679887385961981 ~ 3.3e24 (Sorenson & Webster 2017).  At and
+above that bound it is decided by BPSW (Baillie & Wagstaff 1980): a strong
+base-2 test and a strong Lucas test with Selfridge's parameters, which no
+known composite passes.
 """
 
 from __future__ import annotations
@@ -27,17 +36,96 @@ from .exactalg import int_factor
 Rat = Union[int, Fraction]
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _BASES.
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime: exact below _MR_EXACT_BELOW, BPSW from there on."""
     if n < 2:
         return False
-    if n < 4:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, b) for b in _BASES)
+    return (
+        _strong_probable_prime(n, 2)
+        and isqrt(n) ** 2 != n
+        and _strong_lucas_probable_prime(n)
+    )
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """Strong Fermat test of an odd n > base to the given base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
         return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of an odd nonsquare n > 41, with Selfridge's P, Q.
+
+    D is the first of 5, -7, 9, -11, ... with (D|n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            # gcd(|D|, n) is a proper factor of n.
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n for k running over the leading bits of d.
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (P * U + V) % n, (D * U + P * V) % n
+            # Halve mod the odd n.
+            U = (U + n * (U & 1)) // 2
+            V = (V + n * (V & 1)) // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for an odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 @value_class
@@ -46,14 +134,16 @@ class RationalPlace:
 
     p: int | None
 
+    def __post_init__(self) -> None:
+        if self.p is not None and not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+
     @staticmethod
     def real() -> "RationalPlace":
         return RationalPlace(None)
 
     @staticmethod
     def prime(p: int) -> "RationalPlace":
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         return RationalPlace(p)
 
     @property
@@ -94,12 +184,11 @@ class SymbolValue:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p not dividing a."""
-    if not is_prime(p) or p == 2:
+    if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if a % p == 0:
         raise ValueError(f"{a} is divisible by {p}")
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    return _jacobi(a, p)
 
 
 def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
@@ -116,8 +205,9 @@ def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
 
 
 def _unit_legendre(u: Fraction, p: int) -> int:
-    # (num/den | p) = (num*den | p) since den^2 is a square mod p.
-    return legendre(u.numerator * u.denominator, p)
+    # (num/den | p) = (num*den | p) since den^2 is a square mod p; the
+    # place checked that p is prime.
+    return _jacobi(u.numerator * u.denominator, p)
 
 
 def _unit_mod8(u: Fraction) -> int:

@@ -5,6 +5,9 @@ its output and its elapsed time, in the style of the acceptance suite's
 `crit.elapsed` budgets.  The expected fiber table was produced by the
 earlier classifier, which factored the full discriminant and took about
 47 s; the torsion images are checked against sympy's factorizations.
+The Hilbert symbol at the prime 2^61 - 1 took more than 20 s when
+primality was decided by trial division, and ((t+1)^30)^30 took 2.8 s to
+expand before the parser capped total degree.
 """
 
 import contextlib
@@ -116,3 +119,19 @@ def test_torsion_images_of_the_fibers_curve():
         pair = descent_pair_functions(point, curve)
         expected = tuple(_sympy_class(f, mode, sympy) for f in pair)
         assert image.as_tuple() == expected
+
+
+def test_hilbert_symbol_at_a_mersenne_prime():
+    with _Budget() as budget:
+        code, lines = _cli("hilbert", "3", "5", "--place", "2305843009213693951")
+    assert code == 0
+    assert lines == ["(3, 5)_2305843009213693951 = +1", "invariant = 0"]
+    assert budget.elapsed < 1.0
+
+
+def test_nested_power_over_the_degree_cap_is_usage_error():
+    with _Budget() as budget, pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stderr(io.StringIO()):
+            _cli("fibers", "--p", "((t+1)^30)^30", "--q", "t")
+    assert exc.value.code == 2
+    assert budget.elapsed < 1.0

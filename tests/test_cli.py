@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellbrauer import pipeline
+from ellbrauer import elliptic, funcfield, pipeline, squareclass
 from ellbrauer.cli import ExpressionError, main, parse_poly
 from ellbrauer.brauer import reference_curve
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
@@ -46,6 +46,8 @@ class TestExpressionParser:
             ("t t", 2, "unexpected character"),
             ("1/0", 3, "division by zero"),
             ("t^513", 5, "exceeds the limit"),
+            ("((t+1)^30)^30", 13, "degree 900 exceeds the limit 512"),
+            ("t^300*(t+1)^213", 15, "degree 513 exceeds the limit 512"),
             ("t^^2", 2, "expected a number"),
             ("t^-2", 2, "expected a number"),
             ("x", 0, "unexpected character"),
@@ -59,6 +61,10 @@ class TestExpressionParser:
 
     def test_exponent_limit_is_inclusive(self):
         parse_poly("t^512")
+
+    def test_degree_limit_is_inclusive(self):
+        assert parse_poly("(t^2+1)^256").degree == 512
+        assert parse_poly("t^300*(t+1)^212").degree == 512
 
 
 class TestFibers:
@@ -552,6 +558,23 @@ sampling at 2: FAIL (invariant 1/2 at t = -2, x = 1)
 note: {_NOTE}
 FAILED: 1 check(s)
 """
+
+
+def test_warm_verify_factors_no_constant(capsys, monkeypatch):
+    # The square class of a constant is read off the constant itself.
+    assert run(capsys, "verify")[0] == 0
+    degrees = []
+    original = elliptic.poly_factor
+
+    def counting(f):
+        degrees.append(f.degree)
+        return original(f)
+
+    for module in (elliptic, funcfield, squareclass):
+        monkeypatch.setattr(module, "poly_factor", counting)
+    assert run(capsys, "verify")[0] == 0
+    assert degrees
+    assert 0 not in degrees
 
 
 class TestVerifyOutput:

@@ -249,6 +249,24 @@ class TestBrauerClassAlgebra:
         assert a == brauer_image(6 * T * (T + 1), 6 * T * (T - 1), curve)
         assert hash(a) == hash(brauer_image(6 * T * (T + 1), 6 * T * (T - 1), curve))
 
+    def test_construction_and_sum_subtract_nothing(self, monkeypatch):
+        # p - q is kept on the split curve, so building a class or adding
+        # two does not recompute it.
+        p, q = reference_curve().split_p, reference_curve().split_q
+        curve = WeierstrassCurve.from_split(p, q)
+        calls = []
+        original = RationalFunction.__sub__
+
+        def counting(self, other):
+            calls.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(RationalFunction, "__sub__", counting)
+        a = brauer_image(6 * T * (T + 1), 6 * T * (T - 1), curve)
+        b = BrauerClass(curve, [(CurveCoordinate.X, T + 2)])
+        assert len((a + b).symbols) == 3
+        assert calls == []
+
     def test_addition_needs_same_curve(self):
         a = brauer_image(T, T, reference_curve())
         other = WeierstrassCurve.from_split(T, 2 * T)

@@ -26,6 +26,7 @@ coefficients are negative.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 
@@ -34,6 +35,9 @@ from ellbrauer.hilbert import (
     ProductFormulaReport,
     RationalPlace,
     SymbolValue,
+    _jacobi,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     hilbert_symbol,
     is_prime,
     legendre,
@@ -292,6 +296,12 @@ class TestQpIsSquare:
             qp_is_square(0, REAL)
 
 
+_LARGE_PRIMES = [
+    7919, 65537, 1000003, 998244353, 999999937, 1000000007, 1000000009,
+    2147483647, 4294967291, 999999999989,
+]
+
+
 class TestLegendre:
     def test_matches_enumerated_residues(self):
         for p in (3, 5, 7, 11, 13, 17):
@@ -304,6 +314,53 @@ class TestLegendre:
         with pytest.raises(ValueError):
             legendre(21, 7)
 
+    @pytest.mark.parametrize("p", [2, 1, 15, 561])
+    def test_not_an_odd_prime_rejected(self, p):
+        with pytest.raises(ValueError, match="is not an odd prime"):
+            legendre(3, p)
+
+    @pytest.mark.parametrize("p", _LARGE_PRIMES)
+    def test_euler_criterion(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            a = rng.randrange(-10 * p, 10 * p)
+            if a % p == 0:
+                continue
+            euler = pow(a, (p - 1) // 2, p)
+            assert legendre(a, p) == (1 if euler == 1 else -1)
+
+    def test_jacobi_is_the_product_over_prime_factors(self):
+        rng = random.Random(17)
+        flags = _sieve(400)
+        for n in range(1, 400, 2):
+            factors = [d for d in range(3, n + 1, 2) if n % d == 0 and flags[d]]
+            for _ in range(10):
+                a = rng.randrange(-5 * n, 5 * n)
+                expected = 1
+                for p in factors:
+                    e = 0
+                    m = n
+                    while m % p == 0:
+                        m //= p
+                        e += 1
+                    if a % p == 0:
+                        expected = 0
+                    else:
+                        expected *= (1 if pow(a, (p - 1) // 2, p) == 1 else -1) ** e
+                assert _jacobi(a, n) == expected, (a, n)
+
+
+def _sieve(limit: int) -> bytearray:
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for i in range(2, isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return flags
+
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 class TestIsPrime:
     def test_values(self):
@@ -311,11 +368,66 @@ class TestIsPrime:
         for n in range(-3, 100):
             assert is_prime(n) == (n in primes or (n > 1 and all(n % d for d in range(2, n))))
 
+    def test_sieve(self):
+        flags = _sieve(200_000)
+        assert [n for n in range(200_000) if is_prime(n) != flags[n]] == []
+
+    @pytest.mark.parametrize("n", [561, 41041, 825265])
+    def test_carmichael_numbers(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n, k", [(3215031751, 4), (3825123056546413051, 9)])
+    def test_strong_pseudoprimes(self, n, k):
+        # The least strong pseudoprimes to the first 4 and first 9 bases.
+        assert all(_strong_probable_prime(n, b) for b in _BASES[:k])
+        assert not is_prime(n)
+
+    def test_pseudoprime_to_all_bases(self):
+        n = 3317044064679887385961981
+        assert n == 1287836182261 * 2575672364521
+        # Miller-Rabin to every base accepts it; BPSW rejects it.
+        assert all(_strong_probable_prime(n, b) for b in _BASES)
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", _LARGE_PRIMES + [2**61 - 1, 2**89 - 1, 2**127 - 1])
+    def test_known_primes(self, n):
+        assert is_prime(n)
+        assert not is_prime(n * n)
+        assert not is_prime(n * 1000003)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # OEIS A217255: the odd composite nonsquares below 60000 that pass
+        # the strong Lucas test with Selfridge's parameters.
+        flags = _sieve(60_000)
+        passing = [
+            n for n in range(43, 60_000, 2)
+            if not flags[n] and isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
+        ]
+        assert passing == [
+            5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+        ]
+
+    def test_strong_lucas_accepts_primes(self):
+        flags = _sieve(20_000)
+        primes = [n for n in range(43, 20_000) if flags[n]]
+        assert all(_strong_lucas_probable_prime(n) for n in primes)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2017)
+        for _ in range(400):
+            n = rng.randrange(10**9, 10**40)
+            if rng.random() < 0.5:
+                n = int(sympy.nextprime(n))
+            assert is_prime(n) == sympy.isprime(n), n
+
     def test_place_constructor_validates(self):
         with pytest.raises(ValueError):
             RationalPlace.prime(1)
         with pytest.raises(ValueError):
             RationalPlace.prime(15)
+        with pytest.raises(ValueError, match="15 is not prime"):
+            RationalPlace(15)
 
 
 class TestProductFormula:
