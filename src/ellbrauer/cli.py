@@ -54,7 +54,7 @@ from .elliptic import (
 )
 from .exactalg import Polynomial, T
 from .hilbert import REAL, RationalPlace, hilbert_symbol
-from .pipeline import TORSION_POINTS, Check, reference_checks
+from .pipeline import TORSION_POINTS, reference_checks
 from .residues import QtBrauerClass, check_unramified_P1
 from .squareclass import FieldMode, independent
 
@@ -317,21 +317,23 @@ def _parse_class_arg(text: str) -> list[tuple[Polynomial, Polynomial]]:
     return [(_nonzero(f), _nonzero(g)) for f, g in pairs]
 
 
-def _emit(fmt: str, human: list[str], records: list[tuple[str, str]]) -> None:
-    if fmt == "records":
-        for key, value in records:
-            print(f"{key} = {value}")
-    else:
-        for line in human:
-            print(line)
+# One output line: its human text, its record key and its record value.
+Line = tuple[str, str, str]
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _line(label: object, key: str, value: object, sep: str = " = ") -> Line:
+    """The line `label<sep>value`, recorded as `key = value`.
+
+    A bool reads yes/no for people and true/false in records.
+    """
+    if isinstance(value, bool):
+        return f"{label}{sep}{'yes' if value else 'no'}", key, str(value).lower()
+    return f"{label}{sep}{value}", key, str(value)
 
 
-def _truefalse(flag: bool) -> str:
-    return "true" if flag else "false"
+def _emit(fmt: str, lines: list[Line]) -> None:
+    for human, key, value in lines:
+        print(f"{key} = {value}" if fmt == "records" else human)
 
 
 def _curve_from_args(args: argparse.Namespace) -> WeierstrassCurve:
@@ -352,25 +354,18 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
     except ClassificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    human = [f"{f.place} : {f.kodaira}" for f in report.fibers]
-    human += [
-        f"euler number = {report.euler_number}",
-        f"chi = {report.chi}",
-        f"K3 = {_yesno(report.is_K3)}",
-        f"rank upper bound = {report.rank_R}",
-        f"Mordell-Weil rank bound = {report.mw_rank_bound}",
-        f"semistable = {_yesno(report.semistable)}",
+    lines = [
+        _line(f.place, f"fiber.{f.place}", f.kodaira, " : ") for f in report.fibers
     ]
-    records = [(f"fiber.{f.place}", str(f.kodaira)) for f in report.fibers]
-    records += [
-        ("euler_number", str(report.euler_number)),
-        ("chi", str(report.chi)),
-        ("k3", _truefalse(report.is_K3)),
-        ("rank_upper_bound", str(report.rank_R)),
-        ("mw_rank_bound", str(report.mw_rank_bound)),
-        ("semistable", _truefalse(report.semistable)),
+    lines += [
+        _line("euler number", "euler_number", report.euler_number),
+        _line("chi", "chi", report.chi),
+        _line("K3", "k3", report.is_K3),
+        _line("rank upper bound", "rank_upper_bound", report.rank_R),
+        _line("Mordell-Weil rank bound", "mw_rank_bound", report.mw_rank_bound),
+        _line("semistable", "semistable", report.semistable),
     ]
-    _emit(args.format, human, records)
+    _emit(args.format, lines)
     return EXIT_OK
 
 
@@ -388,19 +383,14 @@ def _cmd_residues(args: argparse.Namespace) -> int:
     else:
         cls = reference_class().restrict_to_origin()
     report = check_unramified_P1(cls)
-    human = [f"{v.place} : {v}" for v in report.verdicts]
-    records = [(f"residue.{v.place}", str(v)) for v in report.verdicts]
+    lines = [_line(v.place, f"residue.{v.place}", v, " : ") for v in report.verdicts]
     overall = report.overall
+    shown = "undetermined" if overall is None else overall
+    lines.append(_line("unramified over the projective line", "unramified", shown))
+    _emit(args.format, lines)
     if overall is None:
-        human.append("unramified over the projective line = undetermined")
-        records.append(("unramified", "undetermined"))
-        code = EXIT_UNDETERMINED
-    else:
-        human.append(f"unramified over the projective line = {_yesno(overall)}")
-        records.append(("unramified", _truefalse(overall)))
-        code = EXIT_OK if overall else EXIT_FAIL
-    _emit(args.format, human, records)
-    return code
+        return EXIT_UNDETERMINED
+    return EXIT_OK if overall else EXIT_FAIL
 
 
 _MODES = {
@@ -412,45 +402,31 @@ _MODES = {
 def _cmd_descent(args: argparse.Namespace) -> int:
     curve = reference_curve()
     mode = _MODES[args.mode]
-    human = []
-    records = []
+    lines = []
     images = {}
     for key, label, point in TORSION_POINTS:
-        image = descent_image(point, curve, mode)
-        images[key] = image
-        human.append(f"{label} : {image}")
-        records.append((f"image.{key}", str(image)))
-    indep = independent(
-        [images["p"].as_tuple(), images["q"].as_tuple()]
-    )
-    human.append(f"images of (p,0) and (q,0) independent = {_yesno(indep)}")
-    records.append(("independent", _truefalse(indep)))
-    _emit(args.format, human, records)
+        images[key] = descent_image(point, curve, mode)
+        lines.append(_line(label, f"image.{key}", images[key], " : "))
+    indep = independent([images["p"].as_tuple(), images["q"].as_tuple()])
+    lines.append(_line("images of (p,0) and (q,0) independent", "independent", indep))
+    _emit(args.format, lines)
     return EXIT_OK
 
 
 def _cmd_transcendence(args: argparse.Namespace) -> int:
     curve = reference_curve()
     result = transcendence_test(args.f, args.g, curve, args.mw_rank_bound)
-    human = [
-        f"target = {result.target}",
-        f"generator (p,0) = {result.generators[0]}",
-        f"generator (q,0) = {result.generators[1]}",
-        f"verdict = {result.verdict.value}",
-    ]
-    records = [
-        ("target", str(result.target)),
-        ("generator.p", str(result.generators[0])),
-        ("generator.q", str(result.generators[1])),
-        ("verdict", result.verdict.value),
+    lines = [
+        _line("target", "target", result.target),
+        _line("generator (p,0)", "generator.p", result.generators[0]),
+        _line("generator (q,0)", "generator.q", result.generators[1]),
+        _line("verdict", "verdict", result.verdict.value),
     ]
     if result.combination is not None:
-        human.append(f"combination = {result.combination}")
-        records.append(("combination", str(result.combination)))
+        lines.append(_line("combination", "combination", result.combination))
     if result.reason:
-        human.append(f"reason = {result.reason}")
-        records.append(("reason", result.reason))
-    _emit(args.format, human, records)
+        lines.append(_line("reason", "reason", result.reason))
+    _emit(args.format, lines)
     if result.verdict is TranscendenceVerdict.TRANSCENDENTAL:
         return EXIT_OK
     if result.verdict is TranscendenceVerdict.ALGEBRAIC_OVER_C:
@@ -464,12 +440,9 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    human = [
-        f"({args.a}, {args.b})_{args.place} = {value}",
-        f"invariant = {value.inv}",
-    ]
-    records = [("symbol", str(value)), ("invariant", str(value.inv))]
-    _emit(args.format, human, records)
+    label = f"({args.a}, {args.b})_{args.place}"
+    lines = [_line(label, "symbol", value), _line("invariant", "invariant", value.inv)]
+    _emit(args.format, lines)
     return EXIT_OK
 
 
@@ -506,9 +479,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError:
         print(_OFF_SURFACE.format(point), file=sys.stderr)
         return EXIT_USAGE
-    human = [f"point = {point}", f"invariant = {inv}"]
-    records = [("point", str(point)), ("invariant", str(inv))]
-    _emit(args.format, human, records)
+    lines = [_line("point", "point", point), _line("invariant", "invariant", inv)]
+    _emit(args.format, lines)
     return EXIT_OK
 
 
@@ -525,59 +497,45 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     except ValueError:
         print(_OFF_SURFACE.format(spec.overrides[0]), file=sys.stderr)
         return EXIT_USAGE
-    human = []
-    records = []
-    for place, inv in report.evaluations:
-        human.append(f"invariant at {place} = {inv}")
-        records.append((f"invariant.{place}", str(inv)))
-    human += [
-        f"note: {report.default_note}",
-        f"total = {report.total}",
-        f"obstructed = {_yesno(report.obstructed)}",
+    lines = [
+        _line(f"invariant at {place}", f"invariant.{place}", inv)
+        for place, inv in report.evaluations
     ]
-    records += [
-        ("note", report.default_note),
-        ("total", str(report.total)),
-        ("obstructed", _truefalse(report.obstructed)),
+    lines += [
+        _line("note", "note", report.default_note, ": "),
+        _line("total", "total", report.total),
+        _line("obstructed", "obstructed", report.obstructed),
     ]
-    _emit(args.format, human, records)
+    _emit(args.format, lines)
     return EXIT_OK if report.obstructed else EXIT_FAIL
-
-
-def _check_keys(check: Check) -> tuple[str, str, str]:
-    """Human label, record key and evidence record key of a check."""
-    if check.place is None:
-        key = check.name.replace(" ", "_")
-        return f"check {check.name}", f"check.{key}", f"evidence.{key}"
-    key = f"sampling.{check.place}"
-    return f"sampling at {check.place}", key, f"evidence.{key}"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks = reference_checks(args.sample_places, args.samples, args.height)
     verbose = bool(os.environ.get("ELLBRAUER_VERBOSE", "").strip())
-    human = []
-    records = []
+    lines: list[Line] = []
     failures = 0
     for check in checks:
-        label, key, evidence_key = _check_keys(check)
+        if check.place is None:
+            label, key = f"check {check.name}", "check." + check.name.replace(" ", "_")
+        else:
+            label, key = f"sampling at {check.place}", f"sampling.{check.place}"
         if check.problems:
             failures += 1
-            human.append(f"{label}: FAIL ({'; '.join(check.problems)})")
-            records.append((key, "fail"))
+            lines.append((f"{label}: FAIL ({'; '.join(check.problems)})", key, "fail"))
             continue
         summary = f" ({check.summary})" if check.summary else ""
-        human.append(f"{label}: ok{summary}")
-        records.append((key, "pass"))
+        lines.append((f"{label}: ok{summary}", key, "pass"))
         if verbose:
-            human.extend(f"  {line}" for line in check.evidence)
-            records.extend((evidence_key, line) for line in check.evidence)
+            evidence_key = "evidence." + key.removeprefix("check.")
+            lines.extend((f"  {line}", evidence_key, line) for line in check.evidence)
     if args.sample_places:
-        human.append(f"note: {SamplingReport.note}")
-        records.append(("note", SamplingReport.note))
-    human.append(f"FAILED: {failures} check(s)" if failures else "ALL CHECKS PASS")
-    records.append(("result", "fail" if failures else "pass"))
-    _emit(args.format, human, records)
+        lines.append(_line("note", "note", SamplingReport.note, ": "))
+    if failures:
+        lines.append((f"FAILED: {failures} check(s)", "result", "fail"))
+    else:
+        lines.append(("ALL CHECKS PASS", "result", "pass"))
+    _emit(args.format, lines)
     return EXIT_FAIL if failures else EXIT_OK
 
 

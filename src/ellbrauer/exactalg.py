@@ -483,7 +483,20 @@ def poly_factor(f: Polynomial) -> Factorization:
 
 
 def _factor_squarefree(h: Polynomial) -> list[Polynomial]:
-    """Irreducible factors of a monic squarefree polynomial."""
+    """Irreducible factors of a monic squarefree polynomial.
+
+    Linear and quadratic h are settled without the rational root search,
+    whose divisor enumeration is exponential in the coefficients' size.
+    """
+    if h.degree == 1:
+        return [h]
+    if h.degree == 2:
+        b, c = h.coeff(1), h.coeff(0)
+        d = b * b - 4 * c
+        if not rat_is_square(d):
+            return [h]
+        root_d = Fraction(isqrt(d.numerator), isqrt(d.denominator))
+        return [T - (-b - root_d) / 2, T - (-b + root_d) / 2]
     out: list[Polynomial] = []
     for r in _rational_roots(h):
         out.append(T - r)
@@ -494,8 +507,6 @@ def _factor_squarefree(h: Polynomial) -> list[Polynomial]:
 
 def _rational_roots(h: Polynomial) -> list[Fraction]:
     """All rational roots of h, via the integer root bound on a primitive model."""
-    if h.degree < 1:
-        return []
     den = lcm(*(c.denominator for c in h.coeffs))
     ints = [int(c * den) for c in h.coeffs]
     shift = 0

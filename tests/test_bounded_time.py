@@ -7,7 +7,10 @@ earlier classifier, which factored the full discriminant and took about
 47 s; the torsion images are checked against sympy's factorizations.
 The Hilbert symbol at the prime 2^61 - 1 took more than 20 s when
 primality was decided by trial division, and ((t+1)^30)^30 took 2.8 s to
-expand before the parser capped total degree.
+expand before the parser capped total degree.  Linear and quadratic
+factors with 13 to 19 digit coefficients did not finish in 8 s while
+every polynomial went through the rational root search, which
+enumerates the divisors of the end coefficients.
 """
 
 import contextlib
@@ -20,7 +23,7 @@ import pytest
 from ellbrauer.cli import main as cli_main
 from ellbrauer.descent import CurvePoint, descent_image, descent_pair_functions
 from ellbrauer.elliptic import WeierstrassCurve
-from ellbrauer.exactalg import Polynomial, T
+from ellbrauer.exactalg import Factorization, Polynomial, T, poly_factor
 from ellbrauer.squareclass import FieldMode, SquareClassVector
 
 
@@ -135,3 +138,124 @@ def test_nested_power_over_the_degree_cap_is_usage_error():
             _cli("fibers", "--p", "((t+1)^30)^30", "--q", "t")
     assert exc.value.code == 2
     assert budget.elapsed < 1.0
+
+
+# N = 1000000007 * 1000000009 = (10^9 + 8)^2 - 1 is not a square, and
+# 4N + 1 = (2*10^9 + 16)^2 - 3 is not either, so t^2 - N and t^2 - t - N
+# are irreducible.  The discriminant of (t - 2^40)(t - 2^41) - t is
+# (2^40 + 3)^2 - 8, again not a square.
+N = 1000000007 * 1000000009
+
+
+LOW_DEGREE = [
+    (T - N, [T - N]),
+    (T**2 - N, [T**2 - N]),
+    (T**2 - T - N, [T**2 - T - N]),
+    ((T - 2**40) * (T - 2**41), [T - 2**41, T - 2**40]),
+    ((T - 2**40) * (T - 2**41) - T, [(T - 2**40) * (T - 2**41) - T]),
+    (
+        (T - Fraction(2**40, 3)) * (T + Fraction(7, 2**41)),
+        [T - Fraction(2**40, 3), T + Fraction(7, 2**41)],
+    ),
+    (T - 2**60, [T - 2**60]),
+]
+
+
+@pytest.mark.parametrize("f, factors", LOW_DEGREE)
+def test_low_degree_factors_with_large_coefficients(f, factors):
+    with _Budget() as budget:
+        result = poly_factor(3 * f)
+    assert budget.elapsed < 0.5
+    assert result == Factorization(Fraction(3), tuple((g, 1) for g in factors))
+
+
+@pytest.mark.parametrize("f", [f for f, _ in LOW_DEGREE])
+def test_low_degree_factors_match_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * t**i
+        for i, c in enumerate(f.coeffs)
+    )
+    _, expected = sympy.factor_list(expr, t)
+    bases = {
+        Polynomial(
+            [Fraction(str(c)) for c in sympy.Poly(base, t).all_coeffs()[::-1]]
+        ).monic(): e
+        for base, e in expected
+    }
+    assert dict(poly_factor(f).factors) == bases
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        (
+            "t - 1000000007*1000000009",
+            "t",
+            [
+                "t-1000000016000000063 : I_2",
+                "t : I_2",
+                "infinity : I_2*",
+                "euler number = 12",
+                "chi = 1",
+                "K3 = no",
+                "rank upper bound = 10",
+                "Mordell-Weil rank bound = 0",
+                "semistable = no",
+            ],
+        ),
+        (
+            "t^2 - 1000000007*1000000009",
+            "t",
+            [
+                "t : I_2",
+                "t^2-t-1000000016000000063 : I_2",
+                "t^2-1000000016000000063 : I_2",
+                "infinity : I_2",
+                "euler number = 12",
+                "chi = 1",
+                "K3 = no",
+                "rank upper bound = 8",
+                "Mordell-Weil rank bound = 2",
+                "semistable = yes",
+            ],
+        ),
+        (
+            "(t-2^40)*(t-2^41)",
+            "t",
+            [
+                "t-2199023255552 : I_2",
+                "t-1099511627776 : I_2",
+                "t : I_2",
+                "t^2-3298534883329*t+2417851639229258349412352 : I_2",
+                "infinity : I_2",
+                "euler number = 12",
+                "chi = 1",
+                "K3 = no",
+                "rank upper bound = 8",
+                "Mordell-Weil rank bound = 2",
+                "semistable = yes",
+            ],
+        ),
+    ],
+)
+def test_fibers_with_large_low_degree_factors(p, q, expected):
+    with _Budget() as budget:
+        code, lines = _cli("fibers", "--p", p, "--q", q)
+    assert (code, lines) == (0, expected)
+    assert budget.elapsed < 2.0
+
+
+def test_residues_at_a_large_linear_place():
+    # At t = 2^60 the residue is the square 2^60; at t = 0 it is -2^60.
+    with _Budget() as budget:
+        code, lines = _cli("residues", "(t - 2^60, t)")
+    assert code == 1
+    assert lines == [
+        "t-1152921504606846976 : class 1",
+        "t : class -1",
+        "infinity : class -1",
+        "unramified over the projective line = no",
+    ]
+    assert budget.elapsed < 2.0

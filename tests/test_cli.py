@@ -1,7 +1,12 @@
 """Command line behavior: parsing, output shapes, exit codes."""
 
+import contextlib
+import io
+import json
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -630,3 +635,119 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+# Every subcommand, its success paths and the error paths the handlers
+# report themselves.  Each runs in both formats; verify also runs with
+# ELLBRAUER_VERBOSE=1.  The expected stdout, stderr and exit code of
+# every run are in cli_golden.json, written by `python tests/test_cli.py`.
+GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
+GOLDEN_COMMANDS = [
+    ["fibers"],
+    ["fibers", "--p", "1", "--q", "t"],
+    ["fibers", "--p", "t^2+1", "--q", "t"],
+    ["fibers", "--p", "0", "--q", "t"],
+    ["fibers", "--p", "1", "--q", "2"],
+    ["fibers", "--p", "t"],
+    ["residues"],
+    ["residues", "--symbol=-3*(t-1)^3*(t+3), 6*t*(t+1)"],
+    ["residues", "--symbol", "2, t^2+1"],
+    ["residues", "(t, t) + (t-4, t)"],
+    ["residues", "(t, t)", "--symbol", "t,t"],
+    ["descent"],
+    ["descent", "--mode", "qt"],
+    ["transcendence"],
+    ["transcendence", "--f", "t", "--g", "(t-1)*t*(t+3)"],
+    ["transcendence", "--mw-rank-bound", "1"],
+    ["hilbert", "-14", "36", "--place", "2"],
+    ["hilbert", "--place", "real", "--", "-1/2", "-1"],
+    ["hilbert", "0", "5", "--place", "3"],
+    ["evaluate", "--x", "1", "--t", "2", "--place", "2"],
+    ["evaluate", "--zero-section", "--place", "7"],
+    ["evaluate", "--x", "1", "--t", "2", "--place", "real"],
+    ["evaluate", "--x", "1", "--t", "1", "--place", "2"],
+    ["evaluate", "--place", "2"],
+    ["obstruct"],
+    ["obstruct", "--zero-section"],
+    ["obstruct", "--x", "1", "--t", "2", "--place", "3"],
+    ["obstruct", "--x", "0", "--t", "1"],
+    ["verify"],
+    ["verify", "--sample-places", "3,real", "--samples", "4", "--height", "6"],
+    ["verify", "--sample-places", "2", "--samples", "30"],
+]
+def _with_format(argv, fmt):
+    return [argv[0], "--format", fmt, *argv[1:]]
+
+
+GOLDEN_RUNS = [
+    (_with_format(argv, fmt), verbose)
+    for argv in GOLDEN_COMMANDS
+    for fmt in ("human", "records")
+    for verbose in (("", "1") if argv[0] == "verify" else ("",))
+]
+
+
+def _golden_id(argv, verbose):
+    return " ".join(argv) + (" [verbose]" if verbose else "")
+
+
+def _capture(argv, verbose):
+    """Exit code, stdout lines and stderr lines of one in-process run."""
+    saved = os.environ.pop("ELLBRAUER_VERBOSE", None)
+    if verbose:
+        os.environ["ELLBRAUER_VERBOSE"] = verbose
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.environ.pop("ELLBRAUER_VERBOSE", None)
+        if saved is not None:
+            os.environ["ELLBRAUER_VERBOSE"] = saved
+    return {
+        "exit": code,
+        "stdout": out.getvalue().splitlines(),
+        "stderr": err.getvalue().splitlines(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_FILE.read_text())
+
+
+class TestGoldenMatrix:
+    @pytest.mark.parametrize(
+        "argv, verbose", GOLDEN_RUNS, ids=[_golden_id(*run) for run in GOLDEN_RUNS]
+    )
+    def test_run_matches_golden(self, golden, argv, verbose):
+        assert _capture(argv, verbose) == golden[_golden_id(argv, verbose)]
+
+    def test_golden_covers_exactly_the_matrix(self, golden):
+        assert sorted(golden) == sorted(_golden_id(*run) for run in GOLDEN_RUNS)
+
+    def test_every_subcommand_and_error_exit_is_covered(self, golden):
+        assert {argv[0] for argv in GOLDEN_COMMANDS} == {
+            "fibers", "residues", "descent", "transcendence",
+            "hilbert", "evaluate", "obstruct", "verify",
+        }
+        assert {entry["exit"] for entry in golden.values()} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("verbose", ["", "1"])
+    def test_one_record_per_human_line(self, golden, verbose):
+        for argv in GOLDEN_COMMANDS:
+            human = golden.get(_golden_id(_with_format(argv, "human"), verbose))
+            if human is None:
+                continue
+            records = golden[_golden_id(_with_format(argv, "records"), verbose)]
+            assert len(records["stdout"]) == len(human["stdout"]), argv
+            assert all(" = " in line for line in records["stdout"]), argv
+
+
+if __name__ == "__main__":
+    GOLDEN_FILE.write_text(
+        json.dumps(
+            {_golden_id(*run): _capture(*run) for run in GOLDEN_RUNS}, indent=1
+        )
+        + "\n"
+    )
