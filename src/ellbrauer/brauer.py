@@ -7,6 +7,19 @@ equation y^2 = x (x - p) (x - q) rewrites it modulo squares (the rule is
 descent._coordinate_value), which is what makes evaluation at 2-torsion
 points possible.
 
+Both the curve test and the Hilbert symbols depend only on square
+classes, so a point is evaluated on integers that represent them.  At
+t0, with p(t0) = P/D and q(t0) = Q/D over one denominator, the point
+x0 = c/e has the coordinates
+
+    x -> c e,   x - p -> (c D - P e) e D,   x - q -> (c D - Q e) e D,
+
+each the numerator times the denominator of the value, and a symbol
+entry f(t0) = n/d is represented by n d.  p, q and every symbol entry are
+evaluated once per t0; every point, sampled or given, goes through the
+same integer kernel (_coordinates, then _invariant), and no Fraction is
+built per candidate point.
+
 The module also ships the reference surface: the split curve with
 p(t) = 3 (t - 1)^3 (t + 3) and q(t) = p(-t), an elliptic K3 surface whose
 quaternion class built from (6t(t+1), 6t(t-1)) pairs nontrivially with an
@@ -18,14 +31,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from math import gcd, lcm
 from typing import Iterator
 
 from ._valueclass import value_class
 from .descent import BrauerClass, _coordinate_value, brauer_image
 from .elliptic import WeierstrassCurve, candidate_places, invariants
-from .exactalg import Polynomial, T
+from .exactalg import Polynomial, T, _frac
 from .funcfield import valuation
-from .hilbert import RationalPlace, hilbert_symbol, qp_is_square
+from .hilbert import RationalPlace, _is_square, _square_class, _symbol_sign
 
 
 class DegeneratePointError(ValueError):
@@ -68,7 +82,7 @@ class SurfacePoint:
 
     @staticmethod
     def affine(x0, t0, place: RationalPlace) -> "SurfacePoint":
-        return SurfacePoint(place, Fraction(t0), Fraction(x0))
+        return SurfacePoint(place, _frac(t0), _frac(x0))
 
     @staticmethod
     def zero_section(place: RationalPlace) -> "SurfacePoint":
@@ -80,27 +94,66 @@ class SurfacePoint:
         return f"(x = {self.x0}, t = {self.t0}) at {self.place}"
 
 
-def _split_values(curve: WeierstrassCurve, t0: Fraction) -> tuple[Fraction, Fraction]:
-    """(p(t0), q(t0)); raises DegeneratePointError at a pole of p or q."""
+# (D, P, Q) with p(t0) = P/D and q(t0) = Q/D, and the square-class integers
+# of x, x - p and x - q at a point (see the module docstring).
+_Fiber = tuple[int, int, int]
+_Coordinates = tuple[int, int, int]
+
+
+def _fiber(curve: WeierstrassCurve, t0: Fraction) -> _Fiber:
+    """(D, P, Q) with p(t0) = P/D and q(t0) = Q/D.
+
+    Raises DegeneratePointError at a pole of p or q.
+    """
     try:
-        return curve.split_p(t0), curve.split_q(t0)
+        p0, q0 = curve.split_p(t0), curve.split_q(t0)
     except ZeroDivisionError as exc:
         raise DegeneratePointError(
             f"curve coefficients have a pole at t = {t0}"
         ) from exc
+    d = lcm(p0.denominator, q0.denominator)
+    return d, p0.numerator * d // p0.denominator, q0.numerator * d // q0.denominator
+
+
+def _coordinates(
+    fiber: _Fiber, x0: Fraction, prime: int | None
+) -> _Coordinates | None:
+    """Coordinates at x0 = c/e on the fiber, or None off the curve.
+
+    The point lies on the curve over the completion at prime (None for
+    the real place) when x0 (x0 - p0) (x0 - q0), whose square class is
+    c e (c D - P e) (c D - Q e), is zero or a square there.
+    """
+    d, p_num, q_num = fiber
+    c, e = x0.numerator, x0.denominator
+    xp, xq = c * d - p_num * e, c * d - q_num * e
+    w = c * e * xp * xq
+    if w and not _is_square(w, prime):
+        return None
+    ed = e * d
+    return c * e, xp * ed, xq * ed
+
+
+def _point_coordinates(
+    curve: WeierstrassCurve, point: SurfacePoint
+) -> _Coordinates | None:
+    return _coordinates(_fiber(curve, point.t0), point.x0, point.place.p)
 
 
 def is_local_point(curve: WeierstrassCurve, point: SurfacePoint) -> bool:
     """Whether the point lies on the curve over the completion at its place."""
-    if point.at_zero_section:
-        return True
-    return _on_curve(point.x0, *_split_values(curve, point.t0), point.place)
+    return point.at_zero_section or _point_coordinates(curve, point) is not None
 
 
-def _on_curve(x0: Fraction, p0: Fraction, q0: Fraction, place: RationalPlace) -> bool:
-    """Whether x0 (x0 - p0) (x0 - q0) is zero or a square at the place."""
-    w = x0 * (x0 - p0) * (x0 - q0)
-    return w == 0 or qp_is_square(w, place)
+def _entry_values(cls: BrauerClass, t0: Fraction) -> tuple[int | None, ...]:
+    """Square-class integer of each symbol entry at t0; None at a pole."""
+    values = []
+    for _, f in cls.symbols:
+        try:
+            values.append(_square_class(f(t0)))
+        except ZeroDivisionError:
+            values.append(None)
+    return tuple(values)
 
 
 def evaluate_local(cls: BrauerClass, point: SurfacePoint) -> Fraction:
@@ -111,39 +164,34 @@ def evaluate_local(cls: BrauerClass, point: SurfacePoint) -> Fraction:
     """
     if point.at_zero_section:
         return Fraction(0)
-    p0, q0 = _split_values(cls.curve, point.t0)
-    if not _on_curve(point.x0, p0, q0, point.place):
+    coords = _point_coordinates(cls.curve, point)
+    if coords is None:
         raise ValueError(f"{point} is not on the curve over its completion")
-    return _invariant(cls, point.place, point.t0, point.x0, p0, q0)
+    entries = _entry_values(cls, point.t0)
+    return _invariant(cls, entries, point.t0, coords, point.place.p)
 
 
 def _invariant(
     cls: BrauerClass,
-    place: RationalPlace,
+    entries: tuple[int | None, ...],
     t0: Fraction,
-    x0: Fraction,
-    p0: Fraction,
-    q0: Fraction,
+    coords: _Coordinates,
+    prime: int | None,
 ) -> Fraction:
-    """Local invariant at the affine point (x0, t0), given p0 = p(t0), q0 = q(t0)."""
+    """Local invariant at an affine point over t0, from _entry_values(cls, t0)."""
     flips = 0
-    x_minus_p, x_minus_q = x0 - p0, x0 - q0
-    for coord, f in cls.symbols:
-        try:
-            fv = f(t0)
-        except ZeroDivisionError as exc:
-            raise DegeneratePointError(
-                f"symbol entry {f} has a pole at t = {t0}"
-            ) from exc
+    for (coord, f), fv in zip(cls.symbols, entries):
+        if fv is None:
+            raise DegeneratePointError(f"symbol entry {f} has a pole at t = {t0}")
         if fv == 0:
             raise DegeneratePointError(f"symbol entry {f} vanishes at t = {t0}")
-        a = _coordinate_value(coord, x0, x_minus_p, x_minus_q)
+        a = _coordinate_value(coord, *coords)
         if a == 0:
             raise DegeneratePointError(
                 f"coordinate {coord.value} and its substitute both vanish; the "
                 "point lies on a singular fiber"
             )
-        if hilbert_symbol(a, fv, place).sign < 0:
+        if _symbol_sign(a, fv, prime) < 0:
             flips += 1
     return Fraction(flips % 2, 2)
 
@@ -198,8 +246,6 @@ def adelic_pairing(cls: BrauerClass, spec: AdelicPointSpec) -> ObstructionReport
 
 def _fractions_of_height(h: int) -> list[Fraction]:
     """Reduced fractions a/b with max(|a|, b) exactly h, deterministic order."""
-    from math import gcd
-
     out = []
     for a in range(-h, h + 1):
         if gcd(abs(a), h) == 1:
@@ -211,20 +257,18 @@ def _fractions_of_height(h: int) -> list[Fraction]:
     return out
 
 
-def _pairs_by_height(height: int) -> Iterator[tuple[Fraction, Fraction]]:
+def _pairs_by_height(height: int) -> Iterator[tuple[Fraction, list[Fraction]]]:
+    """The (t0, x0) pairs by increasing height, as blocks (t0, [x0, ...])."""
     seen: list[Fraction] = []
     for h in range(1, height + 1):
         fresh = _fractions_of_height(h)
         for t0 in fresh:
-            for x0 in seen:
-                yield t0, x0
+            yield t0, seen
         for t0 in seen:
-            for x0 in fresh:
-                yield t0, x0
+            yield t0, fresh
         for t0 in fresh:
-            for x0 in fresh:
-                yield t0, x0
-        seen.extend(fresh)
+            yield t0, fresh
+        seen = seen + fresh
 
 
 def excluded_parameters(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
@@ -248,24 +292,29 @@ def excluded_parameters(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
 
 def _sampled_points(
     curve: WeierstrassCurve, place: RationalPlace, height: int
-) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """(t0, x0, p(t0), q(t0)) for every pair that local_points keeps, in order.
+) -> Iterator[tuple[Fraction, Fraction, _Coordinates]]:
+    """(t0, x0, coordinates) for every pair that local_points keeps, in order.
 
     p and q are evaluated once per distinct t0; parameters over singular
     fibers and poles of p or q map to None and are skipped.
     """
-    fibers: dict[Fraction, tuple[Fraction, Fraction] | None] = dict.fromkeys(
+    fibers: dict[Fraction, _Fiber | None] = dict.fromkeys(
         excluded_parameters(curve)
     )
-    for t0, x0 in _pairs_by_height(height):
+    prime = place.p
+    for t0, xs in _pairs_by_height(height):
         if t0 not in fibers:
             try:
-                fibers[t0] = _split_values(curve, t0)
+                fibers[t0] = _fiber(curve, t0)
             except DegeneratePointError:
                 fibers[t0] = None
-        values = fibers[t0]
-        if values is not None and _on_curve(x0, *values, place):
-            yield (t0, x0, *values)
+        fiber = fibers[t0]
+        if fiber is None:
+            continue
+        for x0 in xs:
+            coords = _coordinates(fiber, x0, prime)
+            if coords is not None:
+                yield t0, x0, coords
 
 
 def local_points(
@@ -282,7 +331,7 @@ def local_points(
     height budget runs out, and returns no point when count <= 0.
     """
     pairs = islice(_sampled_points(curve, place, height), max(count, 0))
-    return [SurfacePoint.affine(x0, t0, place) for t0, x0, _, _ in pairs]
+    return [SurfacePoint.affine(x0, t0, place) for t0, x0, _ in pairs]
 
 
 @value_class
@@ -320,13 +369,16 @@ def sample_vanishing(
 ) -> SamplingReport:
     """Evaluate the class at the points local_points would sample."""
     points = islice(_sampled_points(cls.curve, place, height), max(samples, 0))
+    entries: dict[Fraction, tuple[int | None, ...]] = {}
     zero_count = 0
     skipped = 0
     nonzero: list[tuple[Fraction, Fraction, Fraction]] = []
     valid = 0
-    for t0, x0, p0, q0 in points:
+    for t0, x0, coords in points:
+        if t0 not in entries:
+            entries[t0] = _entry_values(cls, t0)
         try:
-            inv = _invariant(cls, place, t0, x0, p0, q0)
+            inv = _invariant(cls, entries[t0], t0, coords, place.p)
         except DegeneratePointError:
             skipped += 1
             continue

@@ -11,10 +11,17 @@ omega(u) = (u^2-1)/8 taken mod 2,
 
     (a, b)_2 = (-1)^(eps(u)*eps(w) + alpha*omega(w) + beta*omega(u)).
 
-All arguments are exact rationals; valuations and unit parts are computed
-without factoring, so the arguments may be large.  Legendre symbols are
-Jacobi symbols computed by quadratic reciprocity (Cohen, GTM 138, 1.4),
-and a place's prime is checked once, when the place is built.
+Both sides depend only on the square classes of a and b, so the symbol and
+the square test run on integers: a rational n/d is represented by n*d,
+which differs from it by the square d^2.  The public functions accept int
+or Fraction (a float raises TypeError, since 0.1 is not 1/10) and pass
+n*d to private integer kernels, which brauer also calls directly with the
+representatives it builds for points of the surface.  Valuations and unit
+parts come from repeated division, without factoring, so the arguments
+may be large; at p = 2 the unit is read mod 8, where every odd square is
+1.  Legendre symbols are Jacobi symbols computed by quadratic reciprocity
+(Cohen, GTM 138, 1.4), and a place's prime is checked once, when the
+place is built.
 
 Primality is decided by trial division by the primes 2..41, then by strong
 Miller-Rabin tests to those 13 bases, which is exact below
@@ -31,7 +38,7 @@ from math import isqrt
 from typing import Union
 
 from ._valueclass import value_class
-from .exactalg import int_factor
+from .exactalg import _frac, int_factor
 
 Rat = Union[int, Fraction]
 
@@ -191,28 +198,22 @@ def legendre(a: int, p: int) -> int:
     return _jacobi(a, p)
 
 
-def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
-    """p-adic valuation of x and the remaining unit, by repeated division."""
-    num, den = x.numerator, x.denominator
+def _square_class(x: Rat) -> int:
+    """The integer num * den, in the square class of the rational x."""
+    x = _frac(x)
+    return x.numerator * x.denominator
+
+
+def _unit_part(n: int, p: int) -> tuple[int, int]:
+    """p-adic valuation of a nonzero integer n and the remaining unit."""
+    if p == 2:
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _unit_legendre(u: Fraction, p: int) -> int:
-    # (num/den | p) = (num*den | p) since den^2 is a square mod p; the
-    # place checked that p is prime.
-    return _jacobi(u.numerator * u.denominator, p)
-
-
-def _unit_mod8(u: Fraction) -> int:
-    # num/den = num*den mod 8 for odd den, because den^2 = 1 mod 8.
-    return (u.numerator * u.denominator) % 8
+    return v, n
 
 
 def _eps(m8: int) -> int:
@@ -223,44 +224,53 @@ def _omega(m8: int) -> int:
     return 0 if m8 in (1, 7) else 1
 
 
-def hilbert_symbol(a: Rat, b: Rat, place: RationalPlace) -> SymbolValue:
-    """The Hilbert symbol (a, b) at a place of Q; a and b must be nonzero."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbols require nonzero arguments")
-    if place.is_real:
-        return SymbolValue(-1 if a < 0 and b < 0 else 1)
-    p = place.p
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
+def _symbol_sign(a: int, b: int, p: int | None) -> int:
+    """(a, b)_p for nonzero integers a, b; p is None at the real place."""
+    if p is None:
+        return -1 if a < 0 and b < 0 else 1
+    alpha, u = _unit_part(a, p)
+    beta, w = _unit_part(b, p)
     if p == 2:
-        mu, mw = _unit_mod8(u), _unit_mod8(w)
+        mu, mw = u % 8, w % 8
         e = _eps(mu) * _eps(mw) + alpha * _omega(mw) + beta * _omega(mu)
-        return SymbolValue(-1 if e % 2 else 1)
+        return -1 if e % 2 else 1
+    # The place checked that p is prime.
     sign = 1
     if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
         sign = -sign
     if beta % 2:
-        sign *= _unit_legendre(u, p)
+        sign *= _jacobi(u, p)
     if alpha % 2:
-        sign *= _unit_legendre(w, p)
-    return SymbolValue(sign)
+        sign *= _jacobi(w, p)
+    return sign
+
+
+def _is_square(a: int, p: int | None) -> bool:
+    """Whether a nonzero integer is a square in Q_p; p is None for R."""
+    if p is None:
+        return a > 0
+    v, u = _unit_part(a, p)
+    if v % 2:
+        return False
+    if p == 2:
+        return u % 8 == 1
+    return _jacobi(u, p) == 1
+
+
+def hilbert_symbol(a: Rat, b: Rat, place: RationalPlace) -> SymbolValue:
+    """The Hilbert symbol (a, b) at a place of Q; a and b must be nonzero."""
+    a, b = _square_class(a), _square_class(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbols require nonzero arguments")
+    return SymbolValue(_symbol_sign(a, b, place.p))
 
 
 def qp_is_square(a: Rat, place: RationalPlace) -> bool:
     """Whether a nonzero rational is a square in the completion at the place."""
-    a = Fraction(a)
+    a = _square_class(a)
     if a == 0:
         raise ValueError("square testing applies to nonzero elements")
-    if place.is_real:
-        return a > 0
-    p = place.p
-    v, u = _val_unit(a, p)
-    if v % 2:
-        return False
-    if p == 2:
-        return _unit_mod8(u) == 1
-    return _unit_legendre(u, p) == 1
+    return _is_square(a, place.p)
 
 
 @value_class
@@ -281,7 +291,7 @@ def product_formula_check(a: Rat, b: Rat) -> ProductFormulaReport:
     The symbol is +1 at every other place, so the recorded product is the
     full adelic product.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _frac(a), _frac(b)
     if a == 0 or b == 0:
         raise ValueError("product formula applies to nonzero arguments")
     primes: set[int] = {2}

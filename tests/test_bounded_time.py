@@ -259,3 +259,18 @@ def test_residues_at_a_large_linear_place():
         "unramified over the projective line = no",
     ]
     assert budget.elapsed < 2.0
+
+
+def test_verify_with_a_large_sampling_budget():
+    # 400 points at each of six places, drawn from pairs of height <= 60.
+    places = ["real", "3", "5", "7", "11", "13"]
+    with _Budget() as budget:
+        code, lines = _cli(
+            "verify", "--samples", "400", "--height", "60",
+            "--sample-places", ",".join(places),
+        )
+    assert code == 0
+    assert lines[-1] == "ALL CHECKS PASS"
+    for place in places:
+        assert f"sampling at {place}: ok (400 points, all invariants 0)" in lines
+    assert budget.elapsed < 2.0

@@ -32,17 +32,37 @@ from ellbrauer.descent import (
     BrauerClass,
     CurveCoordinate,
     CurvePoint,
+    _coordinate_value,
     brauer_image,
     descent_pair_functions,
 )
 from ellbrauer.elliptic import WeierstrassCurve
 from ellbrauer.exactalg import Polynomial, RationalFunction, T, int_factor
-from ellbrauer.hilbert import REAL, RationalPlace, hilbert_symbol
+from ellbrauer.hilbert import REAL, RationalPlace, hilbert_symbol, qp_is_square
 from ellbrauer.residues import QtBrauerClass
 
 TWO = RationalPlace.prime(2)
 THREE = RationalPlace.prime(3)
 FIVE = RationalPlace.prime(5)
+
+
+def _denominator_cases():
+    # Curves whose p or q has a denominator, so p(t0) and q(t0) need a
+    # common denominator D > 1.  The entry 3t/(t - 1) has a pole at t = 1,
+    # which neither curve excludes, so sampling reaches it.
+    with_den = WeierstrassCurve.from_split(RationalFunction(T**2 + 1, T - 2), T**3)
+    inverse = WeierstrassCurve.from_split(RationalFunction(1, T), T + 1)
+    x_symbol = [(CurveCoordinate.X, T + 2), (CurveCoordinate.X_MINUS_Q, 5 * T - 1)]
+    entry_pole = [
+        (CurveCoordinate.X_MINUS_P, RationalFunction(3 * T, T - 1)),
+        (CurveCoordinate.X_MINUS_Q, T**2 + 2),
+    ]
+    return [
+        ("x symbol, p with den", BrauerClass(with_den, x_symbol)),
+        ("entry pole, p with den", BrauerClass(with_den, entry_pole)),
+        ("x symbol, p = 1/t", BrauerClass(inverse, x_symbol)),
+        ("entry pole, p = 1/t", BrauerClass(inverse, entry_pole)),
+    ]
 
 
 class TestReferenceData:
@@ -108,6 +128,35 @@ class TestIsLocalPoint:
         curve = WeierstrassCurve.from_split(RationalFunction(1, T), RationalFunction(2, T))
         with pytest.raises(DegeneratePointError):
             is_local_point(curve, SurfacePoint.affine(1, 0, TWO))
+
+    @pytest.mark.parametrize("x0, t0", [(0.5, 2), (1, 2.0)])
+    def test_float_coordinates_rejected(self, x0, t0):
+        with pytest.raises(TypeError):
+            SurfacePoint.affine(x0, t0, TWO)
+
+    @pytest.mark.parametrize("label, cls", _denominator_cases())
+    def test_matches_fraction_arithmetic(self, label, cls):
+        # Random points, mostly off the curve, with denominators in x0
+        # and t0: the integer kernel must agree with y^2 computed in Q.
+        rng = random.Random(89)
+        curve = cls.curve
+        accepted = 0
+        for _ in range(300):
+            t0 = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            x0 = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+            place = rng.choice((REAL, TWO, THREE, FIVE, RationalPlace.prime(31)))
+            point = SurfacePoint.affine(x0, t0, place)
+            try:
+                p0, q0 = curve.split_p(t0), curve.split_q(t0)
+            except ZeroDivisionError:
+                with pytest.raises(DegeneratePointError):
+                    is_local_point(curve, point)
+                continue
+            w = x0 * (x0 - p0) * (x0 - q0)
+            expected = w == 0 or qp_is_square(w, place)
+            assert is_local_point(curve, point) == expected, (label, point)
+            accepted += expected
+        assert accepted > 50
 
 
 class TestEvaluateLocal:
@@ -344,16 +393,21 @@ class TestLocalPoints:
 
         monkeypatch.setattr(RationalFunction, "__call__", counting)
         roots = {id(curve.split_p), id(curve.split_q)}
+        entries = {id(f) for _, f in cls.symbols}
         for place in (REAL, TWO, THREE):
-            for run in (
-                lambda: local_points(curve, place, 200, height=12),
-                lambda: sample_vanishing(cls, place, samples=200, height=12),
+            for run, counted in (
+                (lambda: local_points(curve, place, 200, height=12), [roots]),
+                (
+                    lambda: sample_vanishing(cls, place, samples=200, height=12),
+                    [roots, entries],
+                ),
             ):
                 calls.clear()
                 run()
-                seen = [n for (owner, _), n in calls.items() if owner in roots]
-                assert len(seen) > 10
-                assert max(seen) == 1
+                for owners in counted:
+                    seen = [n for (owner, _), n in calls.items() if owner in owners]
+                    assert len(seen) > 10
+                    assert max(seen) == 1
 
     def test_support_factored_once_per_curve(self, monkeypatch):
         expected = excluded_parameters(reference_curve())
@@ -381,6 +435,35 @@ class TestLocalPoints:
         )
 
 
+def _sampling_cases():
+    # (label, class, whether some sampled point is degenerate); (t - 2, ...)
+    # vanishes over t = 2, and 3t/(t - 1) has a pole over t = 1.
+    return [
+        ("reference", reference_class(), False),
+        ("degenerate", brauer_image(T - 2, 6 * T * (T - 1), reference_curve()), True),
+    ] + [
+        (label, cls, label.startswith("entry pole"))
+        for label, cls in _denominator_cases()
+    ]
+
+
+def _fraction_invariant(cls, point):
+    """The invariant at an affine point by Fraction arithmetic; None if undetermined."""
+    t0, x0 = point.t0, point.x0
+    p0, q0 = cls.curve.split_p(t0), cls.curve.split_q(t0)
+    flips = 0
+    for coord, f in cls.symbols:
+        try:
+            fv = f(t0)
+        except ZeroDivisionError:
+            return None
+        a = _coordinate_value(coord, x0, x0 - p0, x0 - q0)
+        if fv == 0 or a == 0:
+            return None
+        flips += hilbert_symbol(a, fv, point.place).sign < 0
+    return Fraction(flips % 2, 2)
+
+
 class TestSampling:
     def test_vanishing_places(self):
         cls = reference_class()
@@ -405,23 +488,25 @@ class TestSampling:
         assert "not decided" in report.note
 
     @pytest.mark.parametrize("samples, height", [(25, 20), (120, 12)])
-    @pytest.mark.parametrize("place", [REAL, TWO, THREE, RationalPlace.prime(31)])
-    @pytest.mark.parametrize("symbols", ["reference", "degenerate"])
+    @pytest.mark.parametrize(
+        "place", [REAL, TWO, THREE, RationalPlace.prime(31), FIVE]
+    )
+    @pytest.mark.parametrize("symbols", _sampling_cases(), ids=lambda c: c[0])
     def test_matches_public_evaluation(self, symbols, place, samples, height):
-        # The sampling loop must agree with local_points + evaluate_local.
-        # (t - 2, ...) vanishes over t = 2, which exercises the skip count.
-        if symbols == "reference":
-            cls = reference_class()
-        else:
-            cls = brauer_image(T - 2, 6 * T * (T - 1), reference_curve())
+        # The sampling loop must agree with local_points + evaluate_local,
+        # and both with the invariant computed by Fraction arithmetic.
+        label, cls, degenerate = symbols
         valid = zero_count = skipped = 0
         nonzero = []
         for point in local_points(cls.curve, place, samples, height):
+            expected_inv = _fraction_invariant(cls, point)
             try:
                 inv = evaluate_local(cls, point)
             except DegeneratePointError:
+                assert expected_inv is None, (label, point)
                 skipped += 1
                 continue
+            assert inv == expected_inv, (label, point)
             valid += 1
             if inv == 0:
                 zero_count += 1
@@ -438,9 +523,9 @@ class TestSampling:
             excluded_params=excluded_parameters(cls.curve),
         )
         assert sample_vanishing(cls, place, samples, height) == expected
-        if place == TWO and symbols == "reference":
+        if place == TWO and label == "reference":
             assert expected.nonzero
-        if symbols == "degenerate":
+        if degenerate:
             assert expected.skipped_degenerate > 0
 
     def test_requested_and_height_recorded(self):

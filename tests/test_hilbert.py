@@ -218,6 +218,12 @@ class TestKnownValues:
         with pytest.raises(ValueError):
             hilbert_symbol(0, 3, REAL)
 
+    @pytest.mark.parametrize("a, b", [(0.5, 3), (3, 0.5), (2.0, 3)])
+    def test_float_rejected(self, a, b):
+        # Fraction(0.1) is not 1/10, so a float has no exact square class
+        with pytest.raises(TypeError):
+            hilbert_symbol(a, b, RationalPlace.prime(3))
+
 
 class TestSymbolValue:
     def test_invariant(self):
@@ -294,6 +300,11 @@ class TestQpIsSquare:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             qp_is_square(0, REAL)
+
+    @pytest.mark.parametrize("place", [REAL, RationalPlace.prime(2)])
+    def test_float_rejected(self, place):
+        with pytest.raises(TypeError):
+            qp_is_square(0.25, place)
 
 
 _LARGE_PRIMES = [
@@ -447,6 +458,11 @@ class TestProductFormula:
         for _ in range(300):
             a, b = _random_pair(rng), _random_pair(rng)
             assert product_formula_check(a, b).holds
+
+    @pytest.mark.parametrize("a, b", [(0.5, 3), (3, 0.1)])
+    def test_float_rejected(self, a, b):
+        with pytest.raises(TypeError):
+            product_formula_check(a, b)
 
 
 def _random_pair(rng: random.Random) -> Fraction:
