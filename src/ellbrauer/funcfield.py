@@ -6,17 +6,30 @@ place of degree one is Q, and those are the only residue fields this
 module evaluates in.  Places of higher degree still carry valuations and
 unit parts, but their residues live in a number field and are reported as
 polynomial representatives, never as rationals.
+
+Valuations at a rational place t - a, a = r/s in lowest terms, are counted
+on the integer model of each polynomial (its coefficients times their
+common denominator, as in ``Polynomial.__call__``) by synthetic division
+by the primitive s*t - r in Z.  By Gauss's lemma s*t - r divides an
+integer polynomial in Q[t] exactly when it divides it in Z[t], so the
+first quotient step that is not integral ends the count.  A place of
+degree 2 or more has no rational root to divide by in Z, and its residues
+are classes in Q[t]/(pi), so it keeps Fraction division and inverts
+denominators with the extended gcd.  Unit parts at rational places still
+reduce by Fraction division as well, after the integer valuation count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from ._valueclass import value_class
 from .exactalg import (
     Polynomial,
     RationalFunction,
+    _frac,
     poly_extended_gcd,
     poly_factor,
 )
@@ -47,7 +60,7 @@ class Place:
 
     @staticmethod
     def at_rational(r: Fraction | int) -> "Place":
-        return Place(Polynomial((-Fraction(r), 1)))
+        return Place(Polynomial((-_frac(r), 1)))
 
     @staticmethod
     def infinity() -> "Place":
@@ -73,7 +86,45 @@ class Place:
 INFINITY = Place.infinity()
 
 
+def _integer_model(poly: Polynomial) -> list[int]:
+    """The coefficients of poly times their common denominator.
+
+    ``Polynomial.__call__`` inlines the same loop: building this list there
+    costs its hot path about a tenth more per evaluation.
+    """
+    cs = poly.coeffs
+    den = 1
+    for c in cs:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _root_multiplicity(ns: list[int], r: int, s: int) -> int:
+    """Multiplicity of s*t - r in the nonzero integer polynomial ns.
+
+    Each pass divides from the top coefficient down, the quotient's next
+    coefficient being (n_i + r*q_i) / s, and the count ends at the first
+    step that leaves a remainder.
+    """
+    k = 0
+    while len(ns) > 1:
+        quot = [0] * (len(ns) - 1)
+        q = 0
+        for i in range(len(ns) - 1, 0, -1):
+            q, rem = divmod(ns[i] + r * q, s)
+            if rem:
+                return k
+            quot[i - 1] = q
+        if ns[0] + r * q:
+            return k
+        ns, k = quot, k + 1
+    return k
+
+
 def _multiplicity(pi: Polynomial, poly: Polynomial) -> int:
+    if pi.degree == 1:
+        a = -pi.coeff(0)
+        return _root_multiplicity(_integer_model(poly), a.numerator, a.denominator)
     e = 0
     while True:
         q, r = divmod(poly, pi)

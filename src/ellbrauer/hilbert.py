@@ -142,7 +142,11 @@ class RationalPlace:
     p: int | None
 
     def __post_init__(self) -> None:
-        if self.p is not None and not is_prime(self.p):
+        if self.p is None:
+            return
+        if not isinstance(self.p, int):
+            raise TypeError(f"a prime place needs an int, got {type(self.p).__name__}")
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @staticmethod

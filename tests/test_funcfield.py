@@ -1,10 +1,14 @@
 """Places of Q(t), valuations, and unit parts."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from ellbrauer import funcfield
+from ellbrauer.brauer import reference_class, reference_curve
+from ellbrauer.elliptic import classify_surface
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
 from ellbrauer.funcfield import (
     INFINITY,
@@ -15,6 +19,7 @@ from ellbrauer.funcfield import (
     unit_part,
     valuation,
 )
+from ellbrauer.residues import check_unramified_P1
 
 
 class TestPlace:
@@ -30,6 +35,11 @@ class TestPlace:
     def test_at_rational(self):
         assert Place.at_rational(1).pi == T - 1
         assert Place.at_rational(Fraction(-1, 2)).pi == T + Fraction(1, 2)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, "1/2"])
+    def test_at_rational_rejects_non_rationals(self, r):
+        with pytest.raises(TypeError):
+            Place.at_rational(r)
 
     def test_degree(self):
         assert Place.finite(T).degree == 1
@@ -123,6 +133,66 @@ class TestUnitPart:
         assert u.valuation == 2
         g = f / RationalFunction((T - 2) ** 2)
         assert u.residue == g(2)
+
+
+class TestDegreeOnePlaces:
+    """Valuations and residues at t - a by integer synthetic division."""
+
+    def test_large_denominator_root(self):
+        a = Fraction(7, 10**40 + 1)
+        lin = T - a
+        f = RationalFunction(lin**3 * (T + 2), 3 * (T - 1) * lin)
+        place = Place.at_rational(a)
+        u = unit_part(place, f)
+        assert u.valuation == 2
+        assert u.residue == (a + 2) / (3 * (a - 1))
+        assert valuation(place, f) == 2
+        assert reduced_unit(place, f) == Polynomial.constant(u.residue)
+
+    def test_pole_with_scaled_numerator(self):
+        # (2t - 1)^2 over the integers is 4 (t - 1/2)^2
+        place = Place.at_rational(Fraction(1, 2))
+        num = Polynomial((Fraction(5, 9), 0, Fraction(1, 9)))
+        f = RationalFunction(num, (2 * T - 1) ** 2)
+        u = unit_part(place, f)
+        assert u.valuation == -2
+        assert u.residue == (Fraction(1, 4) + 5) / 9 / 4
+
+    def test_non_integral_quotient_step_stops(self):
+        # 3t^2 + t has the root 0 only; at 1/3 the first step is not integral
+        f = RationalFunction(3 * T**2 + T)
+        assert valuation(Place.at_rational(Fraction(1, 3)), f) == 0
+        assert valuation(Place.at_rational(Fraction(-1, 3)), f) == 1
+        third = Place.at_rational(Fraction(1, 3))
+        assert unit_part(third, f).residue == f(Fraction(1, 3))
+
+    def test_constants(self):
+        u = unit_part(Place.at_rational(4), RationalFunction(Fraction(-2, 7)))
+        assert (u.valuation, u.residue) == (0, Fraction(-2, 7))
+
+    def test_verify_checks_count_valuations_without_fraction_division(
+        self, monkeypatch
+    ):
+        seen = []
+        plain_divmod = Polynomial.__divmod__
+
+        def traced_divmod(self, other):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name in ("__floordiv__", "__mod__", "divides"):
+                frame = frame.f_back
+            if frame.f_globals["__name__"] == funcfield.__name__ and other.degree == 1:
+                seen.append((frame.f_code.co_name, str(other)))
+            return plain_divmod(self, other)
+
+        monkeypatch.setattr(Polynomial, "__divmod__", traced_divmod)
+        surface = classify_surface(reference_curve())
+        assert len(surface.fibers) == 6
+        assert seen == []
+        report = check_unramified_P1(reference_class().restrict_to_origin())
+        assert report.overall is True
+        # Unit parts at rational places still reduce Fraction polynomials;
+        # the valuations they start from do not.
+        assert {name for name, _ in seen} == {"reduced_unit"}
 
 
 class TestPlacesOfSupport:

@@ -1,0 +1,114 @@
+"""Property tests of valuations and residues at rational places.
+
+The oracle is the Fraction division loop that computed them before the
+integer kernel: divide by t - a while the remainder vanishes, then reduce
+the unit parts mod t - a and invert the denominator by the extended gcd.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ellbrauer.exactalg import (  # noqa: E402
+    Polynomial,
+    RationalFunction,
+    T,
+    poly_extended_gcd,
+)
+from ellbrauer.funcfield import (  # noqa: E402
+    Place,
+    UnitPart,
+    reduced_unit,
+    unit_part,
+    valuation,
+)
+
+
+def multiplicity_reference(pi, poly):
+    e = 0
+    while True:
+        q, r = divmod(poly, pi)
+        if not r.is_zero():
+            return e
+        poly, e = q, e + 1
+
+
+def unit_part_reference(pi, f):
+    vn = multiplicity_reference(pi, f.num)
+    vd = multiplicity_reference(pi, f.den)
+    nbar = (f.num // pi**vn) % pi
+    dbar = (f.den // pi**vd) % pi
+    _, inv, _ = poly_extended_gcd(dbar, pi)
+    return vn - vd, ((nbar * inv) % pi).as_constant()
+
+
+def horner_reference(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+nonzero_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(bool)
+roots = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-50, max_value=50).map(Fraction),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.integers(min_value=1, max_value=10**30),
+    ),
+)
+coefficients = st.one_of(
+    st.integers(min_value=-(10**4), max_value=10**4).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+polys = st.lists(coefficients, min_size=1, max_size=5).map(Polynomial).filter(bool)
+
+
+@st.composite
+def functions_at_rational_place(draw):
+    """(a, e, g, h, f) with f = c (t - a)^e g / h and |e| <= 6."""
+    a = draw(roots)
+    k = draw(st.integers(min_value=0, max_value=6))
+    c = Fraction(draw(nonzero_ints), draw(st.integers(1, 10**6)))
+    g, h = draw(polys), draw(polys)
+    e = k if draw(st.booleans()) else -k
+    f = c * RationalFunction(T - a) ** e * RationalFunction(g, h)
+    return a, e, g, h, f
+
+
+@settings(deadline=None)
+@given(functions_at_rational_place())
+def test_matches_fraction_division_loop(case):
+    a, _, _, _, f = case
+    place = Place.at_rational(a)
+    v, residue = unit_part_reference(place.pi, f)
+    assert valuation(place, f) == v
+    assert unit_part(place, f) == UnitPart(v, residue)
+
+
+@settings(deadline=None)
+@given(functions_at_rational_place())
+def test_residue_is_value_of_unit_part(case):
+    a, _, _, _, f = case
+    place = Place.at_rational(a)
+    u = unit_part(place, f)
+    unit = f * RationalFunction(T - a) ** (-u.valuation)
+    value = horner_reference(unit.num, a) / horner_reference(unit.den, a)
+    assert value != 0
+    assert u.residue == value
+    assert reduced_unit(place, f) == Polynomial.constant(value)
+
+
+@settings(deadline=None)
+@given(functions_at_rational_place())
+def test_valuation_adds_the_drawn_power(case):
+    a, e, g, h, f = case
+    lin = T - a
+    expected = e + multiplicity_reference(lin, g) - multiplicity_reference(lin, h)
+    assert valuation(Place.at_rational(a), f) == expected

@@ -440,6 +440,13 @@ class TestIsPrime:
         with pytest.raises(ValueError, match="15 is not prime"):
             RationalPlace(15)
 
+    @pytest.mark.parametrize("p", [3.0, Fraction(3), "3"])
+    def test_place_requires_int_prime(self, p):
+        with pytest.raises(TypeError, match="needs an int"):
+            RationalPlace.prime(p)
+        with pytest.raises(TypeError):
+            RationalPlace(p)
+
 
 class TestProductFormula:
     def test_reference_pair(self):
