@@ -7,16 +7,16 @@ module evaluates in.  Places of higher degree still carry valuations and
 unit parts, but their residues live in a number field and are reported as
 polynomial representatives, never as rationals.
 
-Valuations at a rational place t - a, a = r/s in lowest terms, are counted
-on the integer model of each polynomial (its coefficients times their
-common denominator, as in ``Polynomial.__call__``) by synthetic division
-by the primitive s*t - r in Z.  By Gauss's lemma s*t - r divides an
-integer polynomial in Q[t] exactly when it divides it in Z[t], so the
-first quotient step that is not integral ends the count.  A place of
-degree 2 or more has no rational root to divide by in Z, and its residues
-are classes in Q[t]/(pi), so it keeps Fraction division and inverts
-denominators with the extended gcd.  Unit parts at rational places still
-reduce by Fraction division as well, after the integer valuation count.
+Valuations and unit parts at a rational place t - a, a = r/s in lowest
+terms, come from one integer deflation of each polynomial: its integer
+model (coefficients times their common denominator, as in
+``Polynomial.__call__``) is divided by the primitive s*t - r in Z.  By
+Gauss's lemma s*t - r divides an integer polynomial in Q[t] exactly when it
+divides it in Z[t], so the first quotient step that is not integral ends
+the count, and the last quotient's value at a gives the residue.  A place
+of degree 2 or more has no rational root to divide by in Z, and its
+residues are classes in Q[t]/(pi), so it keeps Fraction division and
+inverts denominators with the extended gcd.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class Place:
 INFINITY = Place.infinity()
 
 
-def _integer_model(poly: Polynomial) -> list[int]:
-    """The coefficients of poly times their common denominator.
+def _integer_model(poly: Polynomial) -> tuple[list[int], int]:
+    """The coefficients of poly times their common denominator D, and D.
 
     ``Polynomial.__call__`` inlines the same loop: building this list there
     costs its hot path about a tenth more per evaluation.
@@ -96,15 +96,14 @@ def _integer_model(poly: Polynomial) -> list[int]:
     den = 1
     for c in cs:
         den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in cs]
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _root_multiplicity(ns: list[int], r: int, s: int) -> int:
-    """Multiplicity of s*t - r in the nonzero integer polynomial ns.
+def _root_multiplicity(ns: list[int], r: int, s: int) -> tuple[int, list[int]]:
+    """(k, quot) with ns = (s*t - r)^k * quot, for a nonzero integer ns.
 
-    Each pass divides from the top coefficient down, the quotient's next
-    coefficient being (n_i + r*q_i) / s, and the count ends at the first
-    step that leaves a remainder.
+    Each pass divides from the top down, the quotient's next coefficient
+    being (n_i + r*q_i) / s, until a step leaves a remainder.
     """
     k = 0
     while len(ns) > 1:
@@ -113,24 +112,43 @@ def _root_multiplicity(ns: list[int], r: int, s: int) -> int:
         for i in range(len(ns) - 1, 0, -1):
             q, rem = divmod(ns[i] + r * q, s)
             if rem:
-                return k
+                return k, ns
             quot[i - 1] = q
         if ns[0] + r * q:
-            return k
+            return k, ns
         ns, k = quot, k + 1
-    return k
+    return k, ns
+
+
+def _rational_unit(poly: Polynomial, r: int, s: int) -> tuple[int, Fraction]:
+    """(v, w(r/s)) for poly = (t - r/s)^v * w: D*poly = (s*t - r)^v * quot
+    on the integer model, and Horner over r and powers of s gives s^m * quot(r/s).
+    """
+    ns, den = _integer_model(poly)
+    v, quot = _root_multiplicity(ns, r, s)
+    acc, s_pow = 0, 1
+    for c in reversed(quot):
+        acc = acc * r + c * s_pow
+        s_pow *= s
+    return v, Fraction(acc * s**v, den * s ** (len(quot) - 1))
+
+
+def _divide_out(pi: Polynomial, poly: Polynomial) -> tuple[int, Polynomial]:
+    """(e, w mod pi) for poly = pi^e * w with w prime to pi."""
+    e = 0
+    while True:
+        q, r = divmod(poly, pi)
+        if r:
+            return e, r
+        poly, e = q, e + 1
 
 
 def _multiplicity(pi: Polynomial, poly: Polynomial) -> int:
     if pi.degree == 1:
         a = -pi.coeff(0)
-        return _root_multiplicity(_integer_model(poly), a.numerator, a.denominator)
-    e = 0
-    while True:
-        q, r = divmod(poly, pi)
-        if not r.is_zero():
-            return e
-        poly, e = q, e + 1
+        ns, _ = _integer_model(poly)
+        return _root_multiplicity(ns, a.numerator, a.denominator)[0]
+    return _divide_out(pi, poly)[0]
 
 
 def valuation(place: Place, f: FieldElement) -> int:
@@ -164,31 +182,30 @@ def unit_part(place: Place, f: FieldElement) -> UnitPart:
     if place.is_infinite:
         v = rf.den.degree - rf.num.degree
         return UnitPart(v, rf.num.leading() / rf.den.leading())
-    v = valuation(place, rf)
-    res = reduced_unit(place, rf)
-    return UnitPart(v, res.as_constant())
+    a = -place.pi.coeff(0)
+    vn, un = _rational_unit(rf.num, a.numerator, a.denominator)
+    vd, ud = _rational_unit(rf.den, a.numerator, a.denominator)
+    return UnitPart(vn - vd, un / ud)
 
 
 def reduced_unit(place: Place, f: FieldElement) -> Polynomial:
     """Residue of the unit part at a finite place, as a poly of degree < deg pi.
 
-    Computes f * pi^(-v) mod pi, inverting the denominator with the
-    extended euclidean algorithm; pi irreducible makes the inverse exist.
+    At a rational place this is the constant ``unit_part(place, f).residue``.
+    Above degree 1 it divides Fraction polynomials and inverts the
+    denominator mod pi by the extended gcd (pi irreducible: it exists).
     """
     if place.is_infinite:
         raise ValueError("reduced_unit applies to finite places")
+    if place.degree == 1:
+        return Polynomial.constant(unit_part(place, f).residue)
     rf = RationalFunction.coerce(f)
     if rf.is_zero():
         raise ValueError("the zero function has no unit part")
-    pi = place.pi
-    num, den = rf.num, rf.den
-    vn, vd = _multiplicity(pi, num), _multiplicity(pi, den)
-    num = num // pi**vn
-    den = den // pi**vd
-    nbar = num % pi
-    dbar = den % pi
-    _, inv, _ = poly_extended_gcd(dbar, pi)
-    return (nbar * inv) % pi
+    _, nbar = _divide_out(place.pi, rf.num)
+    _, dbar = _divide_out(place.pi, rf.den)
+    _, inv, _ = poly_extended_gcd(dbar, place.pi)
+    return (nbar * inv) % place.pi
 
 
 def places_of_support(fs: Iterable[FieldElement]) -> list[Place]:

@@ -18,7 +18,7 @@ import enum
 from typing import Iterable, Sequence
 
 from ._valueclass import value_class
-from .exactalg import Polynomial, RationalFunction, rat_is_square
+from .exactalg import RationalFunction, rat_is_square
 from .funcfield import Place, places_of_support, reduced_unit, unit_part, valuation
 from .squareclass import FieldMode, SquareClassVector, class_of
 
@@ -87,11 +87,7 @@ class QtBrauerClass(_SymbolSum):
         return QtBrauerClass(pairs)
 
     def support(self) -> list[Place]:
-        entries: list[RationalFunction] = []
-        for f, g in self.symbols:
-            entries.append(f)
-            entries.append(g)
-        return places_of_support(entries)
+        return places_of_support(h for pair in self.symbols for h in pair)
 
 
 class Verdict(enum.Enum):
@@ -125,16 +121,16 @@ def tame_symbol(place: Place, f, g) -> ResidueVerdict:
     f, g = RationalFunction.coerce(f), RationalFunction.coerce(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbols require nonzero entries")
-    vf, vg = valuation(place, f), valuation(place, g)
-    if vf % 2 == 0 and vg % 2 == 0:
+    if place.degree == 1:
+        uf, ug = unit_part(place, f), unit_part(place, g)
+        vf, vg = uf.valuation % 2, ug.valuation % 2
+    else:
+        vf, vg = valuation(place, f) % 2, valuation(place, g) % 2
+    if not (vf or vg):
         # Every exponent in the defining product is even.
         return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
     if place.degree == 1:
-        rf = unit_part(place, f).residue
-        rg = unit_part(place, g).residue
-        r = rf ** (vg % 2) * rg ** (vf % 2)
-        if vf % 2 and vg % 2:
-            r = -r
+        r = (-1) ** (vf * vg) * uf.residue**vg * ug.residue**vf
         return ResidueVerdict(
             place, Verdict.CLASS, class_of(r, FieldMode.RATIONALS_ONLY)
         )
@@ -142,11 +138,8 @@ def tame_symbol(place: Place, f, g) -> ResidueVerdict:
     # unit parts mod pi; a constant that is a square in Q is a square in
     # any residue field, which settles the verdict.  Anything else stays
     # open: a rational nonsquare may still become a square upstairs.
-    fbar = reduced_unit(place, f)
-    gbar = reduced_unit(place, g)
-    prod = (fbar ** (vg % 2) * gbar ** (vf % 2)) % place.pi
-    if vf % 2 and vg % 2:
-        prod = -prod
+    fbar, gbar = reduced_unit(place, f), reduced_unit(place, g)
+    prod = ((-1) ** (vf * vg) * fbar**vg * gbar**vf) % place.pi
     if prod.is_constant() and rat_is_square(prod.as_constant()):
         return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
     return ResidueVerdict(place, Verdict.UNDETERMINED)
@@ -160,10 +153,7 @@ def residue_of_class(cls: QtBrauerClass, place: Place) -> ResidueVerdict:
     classes = [p.square_class for p in parts if p.kind is Verdict.CLASS]
     if not classes:
         return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
-    total = classes[0]
-    for c in classes[1:]:
-        total = total + c
-    return ResidueVerdict(place, Verdict.CLASS, total)
+    return ResidueVerdict(place, Verdict.CLASS, sum(classes[1:], classes[0]))
 
 
 @value_class

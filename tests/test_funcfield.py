@@ -175,6 +175,7 @@ class TestDegreeOnePlaces:
     ):
         seen = []
         plain_divmod = Polynomial.__divmod__
+        plain_gcd = funcfield.poly_extended_gcd
 
         def traced_divmod(self, other):
             frame = sys._getframe(1)
@@ -184,15 +185,33 @@ class TestDegreeOnePlaces:
                 seen.append((frame.f_code.co_name, str(other)))
             return plain_divmod(self, other)
 
+        def counted_gcd(f, g):
+            seen.append(("poly_extended_gcd", str(g)))
+            return plain_gcd(f, g)
+
         monkeypatch.setattr(Polynomial, "__divmod__", traced_divmod)
+        monkeypatch.setattr(funcfield, "poly_extended_gcd", counted_gcd)
         surface = classify_surface(reference_curve())
         assert len(surface.fibers) == 6
         assert seen == []
         report = check_unramified_P1(reference_class().restrict_to_origin())
         assert report.overall is True
-        # Unit parts at rational places still reduce Fraction polynomials;
-        # the valuations they start from do not.
-        assert {name for name, _ in seen} == {"reduced_unit"}
+        # Every place of this class has degree 1: valuations and unit parts
+        # both come from the integer deflation.
+        assert seen == []
+
+    def test_guard_sees_degree_two_places(self, monkeypatch):
+        calls = []
+        plain_gcd = funcfield.poly_extended_gcd
+
+        def counted_gcd(f, g):
+            calls.append(g)
+            return plain_gcd(f, g)
+
+        monkeypatch.setattr(funcfield, "poly_extended_gcd", counted_gcd)
+        place = Place.finite(T**2 + 1)
+        assert reduced_unit(place, RationalFunction(T**3 + 2)) == -T + 2
+        assert calls == [T**2 + 1]
 
 
 class TestPlacesOfSupport:

@@ -1,8 +1,9 @@
 """Property tests of valuations and residues at rational places.
 
-The oracle is the Fraction division loop that computed them before the
-integer kernel: divide by t - a while the remainder vanishes, then reduce
-the unit parts mod t - a and invert the denominator by the extended gcd.
+The oracles are the Fraction paths that computed them before the integer
+kernel: divide by t - a while the remainder vanishes, then either reduce
+the unit parts mod t - a and invert the denominator by the extended gcd,
+or evaluate the deflated numerator and denominator at a.
 """
 
 from fractions import Fraction
@@ -45,6 +46,16 @@ def unit_part_reference(pi, f):
     return vn - vd, ((nbar * inv) % pi).as_constant()
 
 
+def divide_out_reference(lin, poly):
+    """(v, w) with poly = lin^v * w and lin not dividing w, by divmod."""
+    v = 0
+    while True:
+        q, r = divmod(poly, lin)
+        if not r.is_zero():
+            return v, poly
+        poly, v = q, v + 1
+
+
 def horner_reference(poly, x):
     acc = Fraction(0)
     for c in reversed(poly.coeffs):
@@ -59,8 +70,8 @@ roots = st.one_of(
     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
     st.builds(
         Fraction,
-        st.integers(min_value=-(10**30), max_value=10**30),
-        st.integers(min_value=1, max_value=10**30),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
     ),
 )
 coefficients = st.one_of(
@@ -103,6 +114,18 @@ def test_residue_is_value_of_unit_part(case):
     assert value != 0
     assert u.residue == value
     assert reduced_unit(place, f) == Polynomial.constant(value)
+
+
+@settings(deadline=None)
+@given(functions_at_rational_place())
+def test_unit_part_is_value_of_deflated_quotients(case):
+    a, _, _, _, f = case
+    place = Place.at_rational(a)
+    vn, wn = divide_out_reference(T - a, f.num)
+    vd, wd = divide_out_reference(T - a, f.den)
+    residue = horner_reference(wn, a) / horner_reference(wd, a)
+    assert unit_part(place, f) == UnitPart(vn - vd, residue)
+    assert reduced_unit(place, f) == Polynomial.constant(unit_part(place, f).residue)
 
 
 @settings(deadline=None)
