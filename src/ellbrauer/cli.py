@@ -446,18 +446,23 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _point_from_args(args: argparse.Namespace) -> SurfacePoint:
+def _point_from_args(
+    args: argparse.Namespace, x: Fraction | None = None, t: Fraction | None = None
+) -> SurfacePoint:
+    """The point of --x, --t, --place and --zero-section; x, t are defaults."""
     if args.zero_section:
         if args.x is not None or args.t is not None:
             raise argparse.ArgumentTypeError(
                 "--zero-section excludes --x and --t"
             )
         return SurfacePoint.zero_section(args.place)
-    if args.x is None or args.t is None:
+    x = x if args.x is None else args.x
+    t = t if args.t is None else args.t
+    if x is None or t is None:
         raise argparse.ArgumentTypeError(
             "an affine point needs both --x and --t"
         )
-    return SurfacePoint.affine(args.x, args.t, args.place)
+    return SurfacePoint.affine(x, t, args.place)
 
 
 # evaluate_local raises a plain ValueError only for a point off the surface.
@@ -485,10 +490,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> int:
-    if args.zero_section:
-        spec = AdelicPointSpec(())
-    else:
-        spec = AdelicPointSpec((SurfacePoint.affine(args.x, args.t, args.place),))
+    try:
+        point = _point_from_args(args, Fraction(1), Fraction(2))
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    spec = AdelicPointSpec(() if point.at_zero_section else (point,))
     try:
         report = adelic_pairing(reference_class(), spec)
     except DegeneratePointError as exc:
@@ -661,8 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pair the reference class against an adelic point",
         _cmd_obstruct,
     )
-    ob.add_argument("--x", type=_parse_rational, default=Fraction(1))
-    ob.add_argument("--t", type=_parse_rational, default=Fraction(2))
+    ob.add_argument("--x", type=_parse_rational, default=None)
+    ob.add_argument("--t", type=_parse_rational, default=None)
     ob.add_argument(
         "--place", type=_parse_place, default=RationalPlace.prime(2),
         help="place of the non zero section component",

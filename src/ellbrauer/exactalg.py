@@ -13,9 +13,11 @@ is evaluated as its numerator.
 
 Factorization over Q proceeds by squarefree reduction, rational root
 extraction, and a bounded divisor-interpolation search for factors of the
-rootless part.  The search is exhaustive for the degrees this package
-works with (curve coefficient data of moderate degree); it is not meant as
-a general-purpose factorizer for large random inputs.
+rootless part; each factor's multiplicity is counted by dividing integer
+models in Z (``_deflate``, which also serves ``funcfield``'s valuations).
+The search is exhaustive for the degrees this package works with (curve
+coefficient data of moderate degree); it is not meant as a general-purpose
+factorizer for large random inputs.
 """
 
 from __future__ import annotations
@@ -193,7 +195,9 @@ class Polynomial:
         """Value at x = a/b: sum(n_i a^i b^(d-i)) / (D b^d), n_i = c_i D.
 
         D is the common denominator of the coefficients, built pairwise:
-        lcm(*generator) would materialise a tuple per call.
+        lcm(*generator) would materialise a tuple per call.  This is the
+        loop of ``_integer_model``, inlined: building the coefficient list
+        there costs this hot path about a tenth more per evaluation.
         """
         x = _frac(x)
         cs = self._coeffs
@@ -245,6 +249,55 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
+
+
+def _integer_model(poly: Polynomial) -> tuple[list[int], int]:
+    """The coefficients of poly times their common denominator D, and D.
+
+    The model of a monic polynomial is primitive, with leading coefficient D.
+    """
+    cs = poly.coeffs
+    den = 1
+    for c in cs:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _deflate(ps: list[int], ns: list[int]) -> tuple[int, list[int]]:
+    """(v, quot) with ns = P^v * quot in Z[t] and P not dividing quot.
+
+    P = ps is primitive of degree d >= 1 and ns is nonzero.  Each pass
+    divides from the top down and stops at the first quotient coefficient
+    that is not an integer (Gauss's lemma) or at a nonzero remainder.  At
+    degree 1, P = s*t - r, the next quotient coefficient is (n_i + r*q) / s;
+    above it, each quotient coefficient updates d remainder coefficients.
+    """
+    d, lead, r = len(ps) - 1, ps[-1], -ps[0]
+    v = 0
+    while len(ns) > d:
+        quot = [0] * (len(ns) - d)
+        if d == 1:
+            q = 0
+            for i in range(len(ns) - 1, 0, -1):
+                q, rem = divmod(ns[i] + r * q, lead)
+                if rem:
+                    return v, ns
+                quot[i - 1] = q
+            if ns[0] + r * q:
+                return v, ns
+        else:
+            rem = list(ns)
+            for i in range(len(ns) - 1, d - 1, -1):
+                q, m = divmod(rem[i], lead)
+                if m:
+                    return v, ns
+                quot[i - d] = q
+                for j in range(d):
+                    rem[i - d + j] -= q * ps[j]
+            if any(rem[:d]):
+                return v, ns
+        ns, v = quot, v + 1
+    return v, ns
 
 
 def _coerce_poly(x: object) -> Polynomial | None:
@@ -464,20 +517,14 @@ def poly_factor(f: Polynomial) -> Factorization:
     if m.degree == 0:
         return Factorization(unit, ())
     radical = m // poly_gcd(m, m.derivative())
-    irreducibles = _factor_squarefree(radical)
+    ns, _ = _integer_model(m)
     factors = []
-    for base in irreducibles:
-        exp = 0
-        while True:
-            q, r = divmod(m, base)
-            if not r.is_zero():
-                break
-            m = q
-            exp += 1
+    for base in _factor_squarefree(radical):
+        exp, ns = _deflate(_integer_model(base)[0], ns)
         factors.append((base, exp))
-    # All irreducible content is accounted for once the radical's factors
-    # are divided out to full multiplicity.
-    assert m.degree == 0 and m.as_constant() == 1
+    # The model of monic m is primitive, and so is each base's, with a
+    # positive lead: dividing them out to full multiplicity leaves 1.
+    assert ns == [1]
     factors.sort(key=lambda fe: fe[0].sort_key())
     return Factorization(unit, tuple(factors))
 
@@ -507,8 +554,7 @@ def _factor_squarefree(h: Polynomial) -> list[Polynomial]:
 
 def _rational_roots(h: Polynomial) -> list[Fraction]:
     """All rational roots of h, via the integer root bound on a primitive model."""
-    den = lcm(*(c.denominator for c in h.coeffs))
-    ints = [int(c * den) for c in h.coeffs]
+    ints, _ = _integer_model(h)
     shift = 0
     while ints[shift] == 0:
         shift += 1
@@ -551,10 +597,7 @@ def _factor_rootless(h: Polynomial) -> list[Polynomial]:
 def _divisor_interpolation_split(
     h: Polynomial,
 ) -> tuple[Polynomial, Polynomial] | None:
-    den = lcm(*(c.denominator for c in h.coeffs))
-    ints = [int(c * den) for c in h.coeffs]
-    content = gcd(*ints)
-    H = Polynomial([Fraction(c // content) for c in ints])
+    H = Polynomial(_integer_model(h)[0])  # primitive, as h is monic
     xs: list[int] = []
     for k in count():
         x = (k + 1) // 2 * (1 if k % 2 == 0 else -1)

@@ -7,29 +7,30 @@ module evaluates in.  Places of higher degree still carry valuations and
 unit parts, but their residues live in a number field and are reported as
 polynomial representatives, never as rationals.
 
-Valuations and unit parts at a rational place t - a, a = r/s in lowest
-terms, come from one integer deflation of each polynomial: its integer
-model (coefficients times their common denominator, as in
-``Polynomial.__call__``) is divided by the primitive s*t - r in Z.  By
-Gauss's lemma s*t - r divides an integer polynomial in Q[t] exactly when it
+Valuations and unit parts at a finite place of any degree come from one
+integer deflation of each polynomial: its integer model (coefficients
+times their common denominator D, as in ``Polynomial.__call__``) is
+divided in Z by the primitive model P = lead * pi of the place.  By
+Gauss's lemma P divides an integer polynomial in Q[t] exactly when it
 divides it in Z[t], so the first quotient step that is not integral ends
-the count, and the last quotient's value at a gives the residue.  A place
-of degree 2 or more has no rational root to divide by in Z, and its
-residues are classes in Q[t]/(pi), so it keeps Fraction division and
-inverts denominators with the extended gcd.
+the count.  The last quotient, times lead^v / D, is the unit part: at a
+rational place its value gives the residue, and above degree 1 it is
+reduced mod pi once, with the denominator's residue inverted by the
+extended gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Union
 
 from ._valueclass import value_class
 from .exactalg import (
     Polynomial,
     RationalFunction,
+    _deflate,
     _frac,
+    _integer_model,
     poly_extended_gcd,
     poly_factor,
 )
@@ -86,69 +87,34 @@ class Place:
 INFINITY = Place.infinity()
 
 
-def _integer_model(poly: Polynomial) -> tuple[list[int], int]:
-    """The coefficients of poly times their common denominator D, and D.
-
-    ``Polynomial.__call__`` inlines the same loop: building this list there
-    costs its hot path about a tenth more per evaluation.
-    """
-    cs = poly.coeffs
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in cs], den
-
-
-def _root_multiplicity(ns: list[int], r: int, s: int) -> tuple[int, list[int]]:
-    """(k, quot) with ns = (s*t - r)^k * quot, for a nonzero integer ns.
-
-    Each pass divides from the top down, the quotient's next coefficient
-    being (n_i + r*q_i) / s, until a step leaves a remainder.
-    """
-    k = 0
-    while len(ns) > 1:
-        quot = [0] * (len(ns) - 1)
-        q = 0
-        for i in range(len(ns) - 1, 0, -1):
-            q, rem = divmod(ns[i] + r * q, s)
-            if rem:
-                return k, ns
-            quot[i - 1] = q
-        if ns[0] + r * q:
-            return k, ns
-        ns, k = quot, k + 1
-    return k, ns
-
-
-def _rational_unit(poly: Polynomial, r: int, s: int) -> tuple[int, Fraction]:
-    """(v, w(r/s)) for poly = (t - r/s)^v * w: D*poly = (s*t - r)^v * quot
-    on the integer model, and Horner over r and powers of s gives s^m * quot(r/s).
-    """
+def _unit(pi: Polynomial, poly: Polynomial) -> tuple[int, Fraction | Polynomial]:
+    """(v, w mod pi) for poly = pi^v * w, with w = quot * lead^v / D."""
+    ps, lead = _integer_model(pi)
     ns, den = _integer_model(poly)
-    v, quot = _root_multiplicity(ns, r, s)
-    acc, s_pow = 0, 1
+    v, quot = _deflate(ps, ns)
+    if len(ps) > 2:
+        return v, Polynomial(quot) % pi * Fraction(lead**v, den)
+    # Horner over r and powers of s gives s^m * quot(r/s).
+    r, acc, s_pow = -ps[0], 0, 1
     for c in reversed(quot):
         acc = acc * r + c * s_pow
-        s_pow *= s
-    return v, Fraction(acc * s**v, den * s ** (len(quot) - 1))
+        s_pow *= lead
+    return v, Fraction(acc * lead**v, den * lead ** (len(quot) - 1))
 
 
-def _divide_out(pi: Polynomial, poly: Polynomial) -> tuple[int, Polynomial]:
-    """(e, w mod pi) for poly = pi^e * w with w prime to pi."""
-    e = 0
-    while True:
-        q, r = divmod(poly, pi)
-        if r:
-            return e, r
-        poly, e = q, e + 1
-
-
-def _multiplicity(pi: Polynomial, poly: Polynomial) -> int:
-    if pi.degree == 1:
-        a = -pi.coeff(0)
-        ns, _ = _integer_model(poly)
-        return _root_multiplicity(ns, a.numerator, a.denominator)[0]
-    return _divide_out(pi, poly)[0]
+def _residue(place: Place, f: FieldElement) -> tuple[int, Fraction | Polynomial]:
+    """(v, residue of f * pi^(-v)), a Fraction at degree 1, else mod pi."""
+    f = RationalFunction.coerce(f)
+    if f.is_zero():
+        raise ValueError("the zero function has no unit part")
+    if place.is_infinite:
+        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
+    vn, wn = _unit(place.pi, f.num)
+    vd, wd = _unit(place.pi, f.den)
+    if place.degree == 1:
+        return vn - vd, wn / wd
+    _, inv, _ = poly_extended_gcd(wd, place.pi)  # pi is irreducible
+    return vn - vd, wn * inv % place.pi
 
 
 def valuation(place: Place, f: FieldElement) -> int:
@@ -158,7 +124,10 @@ def valuation(place: Place, f: FieldElement) -> int:
         raise ValueError("the zero function has no valuation")
     if place.is_infinite:
         return rf.den.degree - rf.num.degree
-    return _multiplicity(place.pi, rf.num) - _multiplicity(place.pi, rf.den)
+    ps, _ = _integer_model(place.pi)
+    vn, _ = _deflate(ps, _integer_model(rf.num)[0])
+    vd, _ = _deflate(ps, _integer_model(rf.den)[0])
+    return vn - vd
 
 
 @value_class
@@ -176,36 +145,18 @@ def unit_part(place: Place, f: FieldElement) -> UnitPart:
             f"residue field at {place} is a number field of degree "
             f"{place.degree}, not Q"
         )
-    rf = RationalFunction.coerce(f)
-    if rf.is_zero():
-        raise ValueError("the zero function has no unit part")
-    if place.is_infinite:
-        v = rf.den.degree - rf.num.degree
-        return UnitPart(v, rf.num.leading() / rf.den.leading())
-    a = -place.pi.coeff(0)
-    vn, un = _rational_unit(rf.num, a.numerator, a.denominator)
-    vd, ud = _rational_unit(rf.den, a.numerator, a.denominator)
-    return UnitPart(vn - vd, un / ud)
+    return UnitPart(*_residue(place, f))
 
 
 def reduced_unit(place: Place, f: FieldElement) -> Polynomial:
     """Residue of the unit part at a finite place, as a poly of degree < deg pi.
 
     At a rational place this is the constant ``unit_part(place, f).residue``.
-    Above degree 1 it divides Fraction polynomials and inverts the
-    denominator mod pi by the extended gcd (pi irreducible: it exists).
     """
     if place.is_infinite:
         raise ValueError("reduced_unit applies to finite places")
-    if place.degree == 1:
-        return Polynomial.constant(unit_part(place, f).residue)
-    rf = RationalFunction.coerce(f)
-    if rf.is_zero():
-        raise ValueError("the zero function has no unit part")
-    _, nbar = _divide_out(place.pi, rf.num)
-    _, dbar = _divide_out(place.pi, rf.den)
-    _, inv, _ = poly_extended_gcd(dbar, place.pi)
-    return (nbar * inv) % place.pi
+    residue = _residue(place, f)[1]
+    return residue if place.degree > 1 else Polynomial.constant(residue)
 
 
 def places_of_support(fs: Iterable[FieldElement]) -> list[Place]:

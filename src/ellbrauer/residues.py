@@ -5,11 +5,13 @@ For a place v of the t-line and nonzero f, g, the tame symbol
     d_v(f, g) = (-1)^(v(f)v(g)) * fbar^v(g) * gbar^v(f)   in  kappa*/kappa*^2,
 
 with fbar, gbar the residues of the unit parts, detects whether the class
-of the quaternion algebra (f, g) ramifies at v.  At a degree-1 place the
-residue field is Q and the verdict is an explicit square class.  At higher
-degree the residue field is a number field; the verdict is decided only
-when parity or an evident rational square forces it, and is otherwise
-reported as undetermined, never silently assumed trivial.
+of the quaternion algebra (f, g) ramifies at v.  Each entry is deflated
+once per place, and a class's symbols share one decision per place.  At a
+degree-1 place the residue field is Q and the verdict is an explicit square
+class.  At higher degree the residue field is a number field; the verdict
+is decided when parity or a rational square product of the residues mod pi
+forces it, and is otherwise reported as undetermined, never silently
+assumed trivial.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import enum
 from typing import Iterable, Sequence
 
 from ._valueclass import value_class
-from .exactalg import RationalFunction, rat_is_square
-from .funcfield import Place, places_of_support, reduced_unit, unit_part, valuation
+from .exactalg import ONE, RationalFunction, rat_is_square
+from .funcfield import Place, _residue, places_of_support
 from .squareclass import FieldMode, SquareClassVector, class_of
 
 Pair = tuple[RationalFunction, RationalFunction]
@@ -121,39 +123,33 @@ def tame_symbol(place: Place, f, g) -> ResidueVerdict:
     f, g = RationalFunction.coerce(f), RationalFunction.coerce(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("tame symbols require nonzero entries")
-    if place.degree == 1:
-        uf, ug = unit_part(place, f), unit_part(place, g)
-        vf, vg = uf.valuation % 2, ug.valuation % 2
-    else:
-        vf, vg = valuation(place, f) % 2, valuation(place, g) % 2
-    if not (vf or vg):
-        # Every exponent in the defining product is even.
-        return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
-    if place.degree == 1:
-        r = (-1) ** (vf * vg) * uf.residue**vg * ug.residue**vf
-        return ResidueVerdict(
-            place, Verdict.CLASS, class_of(r, FieldMode.RATIONALS_ONLY)
-        )
-    # Degree >= 2: residues live in a number field.  Reduce the product of
-    # unit parts mod pi; a constant that is a square in Q is a square in
-    # any residue field, which settles the verdict.  Anything else stays
-    # open: a rational nonsquare may still become a square upstairs.
-    fbar, gbar = reduced_unit(place, f), reduced_unit(place, g)
-    prod = ((-1) ** (vf * vg) * fbar**vg * gbar**vf) % place.pi
-    if prod.is_constant() and rat_is_square(prod.as_constant()):
-        return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
-    return ResidueVerdict(place, Verdict.UNDETERMINED)
+    return residue_of_class(QtBrauerClass([(f, g)]), place)
 
 
 def residue_of_class(cls: QtBrauerClass, place: Place) -> ResidueVerdict:
-    """Combined residue of a formal symbol sum at one place."""
-    parts = [tame_symbol(place, f, g) for f, g in cls.symbols]
-    if any(p.kind is Verdict.UNDETERMINED for p in parts):
-        return ResidueVerdict(place, Verdict.UNDETERMINED)
-    classes = [p.square_class for p in parts if p.kind is Verdict.CLASS]
-    if not classes:
+    """Combined residue of a formal symbol sum at one place.
+
+    At a degree-1 place the residues' square classes are added.  Above it
+    their product mod pi is tested, as two nonsquares can multiply to a
+    square: a constant square in Q is a square in any residue field.
+    """
+    residues = []
+    for f, g in cls.symbols:
+        (vf, uf), (vg, ug) = _residue(place, f), _residue(place, g)
+        vf, vg = vf % 2, vg % 2
+        if vf or vg:
+            residues.append((-1) ** (vf * vg) * uf**vg * ug**vf)
+    if not residues:
         return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
-    return ResidueVerdict(place, Verdict.CLASS, sum(classes[1:], classes[0]))
+    if place.degree == 1:
+        classes = [class_of(r, FieldMode.RATIONALS_ONLY) for r in residues]
+        return ResidueVerdict(place, Verdict.CLASS, sum(classes[1:], classes[0]))
+    prod = ONE
+    for r in residues:
+        prod = prod * r % place.pi
+    if prod.is_constant() and rat_is_square(prod.as_constant()):
+        return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
+    return ResidueVerdict(place, Verdict.UNDETERMINED)
 
 
 @value_class

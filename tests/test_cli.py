@@ -145,6 +145,16 @@ class TestResidues:
         assert "t^2+1 : undetermined" in lines
         assert lines[-1] == "unramified over the projective line = undetermined"
 
+    def test_residues_at_a_quadratic_place_multiply_first(self, capsys):
+        # (t^2+1, 2) + (t^2+1, 8) is the zero class (t^2+1, 16)
+        code, lines = run(capsys, "residues", "(t^2+1, 2) + (t^2+1, 8)")
+        assert code == 0
+        assert lines == [
+            "t^2+1 : trivially one",
+            "infinity : trivially one",
+            "unramified over the projective line = yes",
+        ]
+
     def test_class_literal_matches_symbol_flags(self, capsys):
         _, from_literal = run(capsys, "residues", "(t, t) + (t-4, t)")
         _, from_flags = run(capsys, "residues", "--symbol", "t,t", "--symbol", "t-4,t")
@@ -341,6 +351,20 @@ def test_point_evaluates_p_and_q_once(capsys, monkeypatch, argv):
 
 
 class TestObstruct:
+    @pytest.mark.parametrize(
+        "extra", [["--x", "5", "--t", "7"], ["--x", "5"], ["--t", "7"]]
+    )
+    def test_zero_section_excludes_coordinates(self, capsys, extra):
+        code, lines = run(capsys, "obstruct", "--zero-section", *extra)
+        assert code == 2
+        assert lines == ["error: --zero-section excludes --x and --t"]
+
+    def test_one_coordinate_keeps_the_other_default(self, capsys):
+        code, lines = run(capsys, "obstruct", "--t", "2", "--place", "3")
+        assert code == 1
+        assert "invariant at 3 = 0" in lines
+
+
     def test_default_adelic_point(self, capsys):
         code, lines = run(capsys, "obstruct")
         assert code == 0

@@ -2,13 +2,14 @@
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ellbrauer import funcfield
 from ellbrauer.brauer import reference_class, reference_curve
-from ellbrauer.elliptic import classify_surface
+from ellbrauer.elliptic import WeierstrassCurve, classify_surface
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
 from ellbrauer.funcfield import (
     INFINITY,
@@ -19,7 +20,14 @@ from ellbrauer.funcfield import (
     unit_part,
     valuation,
 )
-from ellbrauer.residues import check_unramified_P1
+from ellbrauer.residues import Verdict, check_unramified_P1, tame_symbol
+
+
+def _caller(frame):
+    """The frame that asked for a division, past the operator wrappers."""
+    while frame.f_code.co_name in ("__floordiv__", "__mod__", "divides"):
+        frame = frame.f_back
+    return frame
 
 
 class TestPlace:
@@ -178,10 +186,8 @@ class TestDegreeOnePlaces:
         plain_gcd = funcfield.poly_extended_gcd
 
         def traced_divmod(self, other):
-            frame = sys._getframe(1)
-            while frame.f_code.co_name in ("__floordiv__", "__mod__", "divides"):
-                frame = frame.f_back
-            if frame.f_globals["__name__"] == funcfield.__name__ and other.degree == 1:
+            frame = _caller(sys._getframe(1))
+            if frame.f_globals["__name__"] == funcfield.__name__:
                 seen.append((frame.f_code.co_name, str(other)))
             return plain_divmod(self, other)
 
@@ -199,6 +205,14 @@ class TestDegreeOnePlaces:
         # Every place of this class has degree 1: valuations and unit parts
         # both come from the integer deflation.
         assert seen == []
+        # Valuations at the places of degree 2, 4 and 6 of a custom curve
+        # come from the same deflation.
+        custom = WeierstrassCurve.from_split(
+            (T**4 + T + 1) * (T**2 + 1), T**4 + 3 * T**2 + 7
+        )
+        degrees = {fiber.place.degree for fiber in classify_surface(custom).fibers}
+        assert degrees == {1, 2, 4, 6}
+        assert seen == []
 
     def test_guard_sees_degree_two_places(self, monkeypatch):
         calls = []
@@ -212,6 +226,56 @@ class TestDegreeOnePlaces:
         place = Place.finite(T**2 + 1)
         assert reduced_unit(place, RationalFunction(T**3 + 2)) == -T + 2
         assert calls == [T**2 + 1]
+
+
+class TestHigherDegreePlaces:
+    """Valuations and residues at places of degree >= 2 by the same deflation."""
+
+    def test_tame_symbol_deflates_each_entry_once(self, monkeypatch):
+        place = Place.finite(T**2 + 1)
+        f, g = (T**2 + 1) ** 3 * (T + 5), T**3 - 7
+        divided = []
+        plain_divmod = Polynomial.__divmod__
+
+        def traced_divmod(self, other):
+            divided.append((_caller(sys._getframe(1)).f_code.co_name, str(other)))
+            return plain_divmod(self, other)
+
+        monkeypatch.setattr(Polynomial, "__divmod__", traced_divmod)
+        assert tame_symbol(place, f, g).kind is Verdict.UNDETERMINED
+        # Only reductions mod pi and the extended gcd divide: each entry's
+        # two deflated quotients are reduced, each denominator residue (here
+        # 1) is inverted in two gcd steps, by pi and then by the remainder 1,
+        # the inverse is applied, and the symbols' product is reduced.
+        assert Counter(divided) == Counter(
+            {
+                ("_unit", "t^2+1"): 4,
+                ("poly_extended_gcd", "t^2+1"): 2,
+                ("poly_extended_gcd", "1"): 2,
+                ("_residue", "t^2+1"): 2,
+                ("residue_of_class", "t^2+1"): 1,
+            }
+        )
+        deflated = []
+        plain_deflate = funcfield._deflate
+
+        def counted_deflate(ps, ns):
+            deflated.append(ns)
+            return plain_deflate(ps, ns)
+
+        monkeypatch.setattr(funcfield, "_deflate", counted_deflate)
+        tame_symbol(place, f, g)
+        # numerator and denominator of each entry, once each
+        assert len(deflated) == 4
+
+    def test_poles_and_zeros_at_a_cubic_place(self):
+        pi = T**3 - 2
+        place = Place.finite(pi)
+        f = RationalFunction(Fraction(3, 5) * pi**2 * (T + 1), pi**5 * (T**2 + 7))
+        assert valuation(place, f) == -3
+        got = reduced_unit(place, f)
+        assert got.degree < 3
+        assert (got * (T**2 + 7)) % pi == (Fraction(3, 5) * (T + 1)) % pi
 
 
 class TestPlacesOfSupport:

@@ -1,9 +1,10 @@
-"""Property tests of valuations and residues at rational places.
+"""Property tests of valuations and residues at finite places.
 
 The oracles are the Fraction paths that computed them before the integer
-kernel: divide by t - a while the remainder vanishes, then either reduce
-the unit parts mod t - a and invert the denominator by the extended gcd,
-or evaluate the deflated numerator and denominator at a.
+kernel: divide by pi while the remainder vanishes, then either reduce the
+unit parts mod pi and invert the denominator by the extended gcd, or, at
+a rational place t - a, evaluate the deflated numerator and denominator
+at a.
 """
 
 from fractions import Fraction
@@ -37,13 +38,18 @@ def multiplicity_reference(pi, poly):
         poly, e = q, e + 1
 
 
-def unit_part_reference(pi, f):
+def reduced_unit_reference(pi, f):
     vn = multiplicity_reference(pi, f.num)
     vd = multiplicity_reference(pi, f.den)
     nbar = (f.num // pi**vn) % pi
     dbar = (f.den // pi**vd) % pi
     _, inv, _ = poly_extended_gcd(dbar, pi)
-    return vn - vd, ((nbar * inv) % pi).as_constant()
+    return vn - vd, (nbar * inv) % pi
+
+
+def unit_part_reference(pi, f):
+    v, residue = reduced_unit_reference(pi, f)
+    return v, residue.as_constant()
 
 
 def divide_out_reference(lin, poly):
@@ -135,3 +141,56 @@ def test_valuation_adds_the_drawn_power(case):
     lin = T - a
     expected = e + multiplicity_reference(lin, g) - multiplicity_reference(lin, h)
     assert valuation(Place.at_rational(a), f) == expected
+
+
+@st.composite
+def irreducible_places(draw):
+    """A monic irreducible pi of degree 2-4 with its place.
+
+    pi is an Eisenstein polynomial at a small prime, shifted by a rational:
+    a shift is an automorphism of Q[t], so pi stays irreducible.  That is
+    known by construction, so the place is built directly, without the
+    factorization ``Place.finite`` runs to check it.
+    """
+    d = draw(st.integers(min_value=2, max_value=4))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    constant = draw(nonzero_ints.filter(lambda b: b % p))
+    middle = [draw(st.integers(-20, 20)) for _ in range(d - 1)]
+    eisenstein = Polynomial([p * constant] + [p * b for b in middle] + [1])
+    pi = eisenstein.compose(T + draw(roots))
+    return pi, Place(pi)
+
+
+huge_coefficients = st.one_of(
+    coefficients,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.integers(min_value=1, max_value=10**30),
+    ),
+)
+huge_polys = (
+    st.lists(huge_coefficients, min_size=1, max_size=5).map(Polynomial).filter(bool)
+)
+
+
+@st.composite
+def functions_at_higher_place(draw):
+    """(pi, place, e, g, h, f) with f = c pi^e g / h and |e| <= 4."""
+    pi, place = draw(irreducible_places())
+    k = draw(st.integers(min_value=0, max_value=4))
+    c = draw(huge_coefficients.filter(bool))
+    g, h = draw(huge_polys), draw(huge_polys)
+    e = k if draw(st.booleans()) else -k
+    f = c * RationalFunction(pi) ** e * RationalFunction(g, h)
+    return pi, place, e, g, h, f
+
+
+@settings(deadline=None, max_examples=60)
+@given(functions_at_higher_place())
+def test_higher_degree_matches_fraction_division_loop(case):
+    pi, place, e, g, h, f = case
+    v, residue = reduced_unit_reference(pi, f)
+    assert valuation(place, f) == v
+    assert v == e + multiplicity_reference(pi, g) - multiplicity_reference(pi, h)
+    assert reduced_unit(place, f) == residue

@@ -163,6 +163,20 @@ class TestResidueOfClass:
         verdict = residue_of_class(cls, Place.finite(T**2 + 1))
         assert verdict.kind is Verdict.UNDETERMINED
 
+    def test_residues_multiply_before_the_square_test(self):
+        place = Place.finite(T**2 + 1)
+        # 2 and 8 are rational nonsquares, their product 16 a square
+        two, eight = tame_symbol(place, T**2 + 1, 2), tame_symbol(place, T**2 + 1, 8)
+        assert two.kind is eight.kind is Verdict.UNDETERMINED
+        cls = QtBrauerClass([(T**2 + 1, 2), (T**2 + 1, 8)])
+        assert residue_of_class(cls, place).kind is Verdict.TRIVIALLY_ONE
+        # t * (-t) = -t^2 is 1 mod t^2 + 1
+        cls = QtBrauerClass([(T**2 + 1, T), (T**2 + 1, -T)])
+        assert residue_of_class(cls, place).kind is Verdict.TRIVIALLY_ONE
+        # t * (t + 1) is t - 1 mod t^2 + 1: still open
+        cls = QtBrauerClass([(T**2 + 1, T), (T**2 + 1, T + 1)])
+        assert residue_of_class(cls, place).kind is Verdict.UNDETERMINED
+
     def test_all_trivially_one_collapses(self):
         cls = QtBrauerClass([((T**2 + 1) ** 2, T)])
         verdict = residue_of_class(cls, Place.finite(T**2 + 1))
