@@ -18,8 +18,13 @@ Polynomial arguments use a small expression grammar over the variable t:
     term    := factor ('*' factor)*
     factor  := atom ('^' natural)?
     atom    := rational | 't' | '(' expr ')'
+    pair    := expr ',' expr
+    class   := '(' pair ')' ('+' '(' pair ')')*
 
-Rational literals look like 3 or 3/2.  Whitespace is ignored.
+--p, --q, --f and --g are exprs, --symbol is a pair and the CLASS argument
+of `residues` is a class.  Rational literals look like 3 or 3/2.
+Whitespace is ignored.  An error's position counts from the start of the
+argument.
 
 The only environment variable honored is ELLBRAUER_VERBOSE: when set to
 a nonempty value, `verify` prints the evidence behind each passing check
@@ -79,14 +84,15 @@ class ExpressionError(ValueError):
 
 
 class _ExprParser:
-    """Recursive descent parser producing a Polynomial in t."""
+    """Recursive descent over the grammar in the module docstring."""
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
 
-    def parse(self) -> Polynomial:
-        value = self._expr()
+    def parse(self, production):
+        """The whole text as one production, an unbound method of this class."""
+        value = production(self)
         self._skip_ws()
         if self.pos != len(self.text):
             raise ExpressionError(
@@ -103,6 +109,26 @@ class _ExprParser:
         if self.pos >= len(self.text):
             return ""
         return self.text[self.pos]
+
+    def _expect(self, ch: str) -> None:
+        if self._peek() != ch:
+            raise ExpressionError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def _class(self) -> list[tuple[Polynomial, Polynomial]]:
+        pairs = []
+        while True:
+            self._expect("(")
+            pairs.append(self._pair())
+            self._expect(")")
+            if self._peek() == "":
+                return pairs
+            self._expect("+")
+
+    def _pair(self) -> tuple[Polynomial, Polynomial]:
+        f = self._expr()
+        self._expect(",")
+        return f, self._expr()
 
     def _expr(self) -> Polynomial:
         sign = 1
@@ -152,9 +178,7 @@ class _ExprParser:
         if ch == "(":
             self.pos += 1
             inner = self._expr()
-            if self._peek() != ")":
-                raise ExpressionError("expected ')'", self.pos)
-            self.pos += 1
+            self._expect(")")
             return inner
         if ch == "t":
             self.pos += 1
@@ -186,7 +210,32 @@ class _ExprParser:
 
 
 def parse_poly(text: str) -> Polynomial:
-    return _ExprParser(text).parse()
+    return _ExprParser(text).parse(_ExprParser._expr)
+
+
+def _grammar_arg(production, nonzero: bool):
+    """An argparse type reading the whole argument as one production.
+
+    With nonzero, a zero entry anywhere in the value is refused.
+    """
+
+    def parse(text: str):
+        try:
+            value = _ExprParser(text).parse(production)
+        except ExpressionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if nonzero and not all(_entries(value)):
+            raise argparse.ArgumentTypeError("symbol entries must be nonzero")
+        return value
+
+    return parse
+
+
+def _entries(value) -> list[Polynomial]:
+    """The polynomials of a parsed expr, pair or class."""
+    if isinstance(value, Polynomial):
+        return [value]
+    return [entry for part in value for entry in _entries(part)]
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -224,97 +273,6 @@ def _parse_place(text: str) -> RationalPlace:
         return RationalPlace.prime(p)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _nonzero(entry: Polynomial) -> Polynomial:
-    if entry.is_zero():
-        raise argparse.ArgumentTypeError("symbol entries must be nonzero")
-    return entry
-
-
-def _parse_symbol(text: str) -> tuple[Polynomial, Polynomial]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"symbol must be two comma separated expressions, got {text!r}"
-        )
-    try:
-        f, g = parse_poly(parts[0]), parse_poly(parts[1])
-    except ExpressionError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return _nonzero(f), _nonzero(g)
-
-
-def parse_class_literal(text: str) -> list[tuple[Polynomial, Polynomial]]:
-    """Parse a formal sum of symbols written "(f, g) + (f, g) + ...".
-
-    Whitespace is insignificant. Commas and the closing parenthesis are
-    matched at depth one, so the entries themselves may contain both.
-    """
-    pairs: list[tuple[Polynomial, Polynomial]] = []
-    n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def parse_fragment(start: int, stop: int) -> Polynomial:
-        try:
-            return parse_poly(text[start:stop])
-        except ExpressionError as exc:
-            raise ExpressionError(exc.message, start + exc.position) from None
-
-    i = skip_ws(0)
-    if i >= n:
-        raise ExpressionError("expected '('", i)
-    while True:
-        if i >= n or text[i] != "(":
-            raise ExpressionError("expected '('", i)
-        depth = 1
-        j = i + 1
-        comma = None
-        while j < n and depth:
-            c = text[j]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            elif c == "," and depth == 1:
-                if comma is not None:
-                    raise ExpressionError("unexpected ','", j)
-                comma = j
-            j += 1
-        if depth:
-            raise ExpressionError("expected ')'", n)
-        if comma is None:
-            raise ExpressionError("expected ','", j - 1)
-        pairs.append((parse_fragment(i + 1, comma), parse_fragment(comma + 1, j - 1)))
-        i = skip_ws(j)
-        if i >= n:
-            return pairs
-        if text[i] != "+":
-            raise ExpressionError("expected '+'", i)
-        i = skip_ws(i + 1)
-
-
-def _parse_poly_arg(text: str) -> Polynomial:
-    try:
-        return parse_poly(text)
-    except ExpressionError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_entry_arg(text: str) -> Polynomial:
-    return _nonzero(_parse_poly_arg(text))
-
-
-def _parse_class_arg(text: str) -> list[tuple[Polynomial, Polynomial]]:
-    try:
-        pairs = parse_class_literal(text)
-    except ExpressionError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return [(_nonzero(f), _nonzero(g)) for f, g in pairs]
 
 
 # One output line: its human text, its record key and its record value.
@@ -563,6 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Roots may be zero: `fibers --p 0` reports the vanishing discriminant.
+    root_arg = _grammar_arg(_ExprParser._expr, nonzero=False)
+    entry_arg = _grammar_arg(_ExprParser._expr, nonzero=True)
 
     def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -581,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_fibers,
     )
     fibers.add_argument(
-        "--p", type=_parse_poly_arg, default=None, metavar="EXPR",
+        "--p", type=root_arg, default=None, metavar="EXPR",
         help="first root polynomial of a custom split curve",
     )
     fibers.add_argument(
-        "--q", type=_parse_poly_arg, default=None, metavar="EXPR",
+        "--q", type=root_arg, default=None, metavar="EXPR",
         help="second root polynomial of a custom split curve",
     )
 
@@ -597,14 +558,14 @@ def build_parser() -> argparse.ArgumentParser:
     residues.add_argument(
         "class_literal",
         nargs="?",
-        type=_parse_class_arg,
+        type=_grammar_arg(_ExprParser._class, nonzero=True),
         metavar="CLASS",
         help='formal sum of symbols, written "(f, g) + (f, g)"; '
         "whitespace insignificant",
     )
     residues.add_argument(
         "--symbol",
-        type=_parse_symbol,
+        type=_grammar_arg(_ExprParser._pair, nonzero=True),
         action="append",
         metavar="F,G",
         help="quaternion symbol entry (repeatable); default is the "
@@ -629,11 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_transcendence,
     )
     trans.add_argument(
-        "--f", type=_parse_entry_arg, default=REFERENCE_PAIR[0], metavar="EXPR",
+        "--f", type=entry_arg, default=REFERENCE_PAIR[0], metavar="EXPR",
         help="entry paired with x - p",
     )
     trans.add_argument(
-        "--g", type=_parse_entry_arg, default=REFERENCE_PAIR[1], metavar="EXPR",
+        "--g", type=entry_arg, default=REFERENCE_PAIR[1], metavar="EXPR",
         help="entry paired with x - q",
     )
     trans.add_argument(

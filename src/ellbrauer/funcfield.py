@@ -15,14 +15,15 @@ Gauss's lemma P divides an integer polynomial in Q[t] exactly when it
 divides it in Z[t], so the first quotient step that is not integral ends
 the count.  The last quotient, times lead^v / D, is the unit part: at a
 rational place its value gives the residue, and above degree 1 it is
-reduced mod pi once, with the denominator's residue inverted by the
-extended gcd.
+reduced mod pi once, with the denominator's residue inverted as a
+rational when it is constant and by the extended gcd otherwise.  A
+residue is reduced only when it is asked for, and a valuation never is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from ._valueclass import value_class
 from .exactalg import (
@@ -36,6 +37,8 @@ from .exactalg import (
 )
 
 FieldElement = Union[Polynomial, RationalFunction, Fraction, int]
+# A residue computed only when called.
+_LazyResidue = Callable[[], Union[Fraction, Polynomial]]
 
 
 class UnsupportedResidueFieldError(ValueError):
@@ -87,34 +90,50 @@ class Place:
 INFINITY = Place.infinity()
 
 
-def _unit(pi: Polynomial, poly: Polynomial) -> tuple[int, Fraction | Polynomial]:
-    """(v, w mod pi) for poly = pi^v * w, with w = quot * lead^v / D."""
+def _unit(pi: Polynomial, poly: Polynomial) -> tuple[int, _LazyResidue]:
+    """v, and on call w mod pi, for poly = pi^v * w with w = quot * lead^v / D."""
     ps, lead = _integer_model(pi)
     ns, den = _integer_model(poly)
     v, quot = _deflate(ps, ns)
-    if len(ps) > 2:
-        return v, Polynomial(quot) % pi * Fraction(lead**v, den)
-    # Horner over r and powers of s gives s^m * quot(r/s).
-    r, acc, s_pow = -ps[0], 0, 1
-    for c in reversed(quot):
-        acc = acc * r + c * s_pow
-        s_pow *= lead
-    return v, Fraction(acc * lead**v, den * lead ** (len(quot) - 1))
+
+    def reduced() -> Fraction | Polynomial:
+        if len(ps) > 2:
+            return Polynomial(quot) % pi * Fraction(lead**v, den)
+        # Horner over r and powers of s gives s^m * quot(r/s).
+        r, acc, s_pow = -ps[0], 0, 1
+        for c in reversed(quot):
+            acc = acc * r + c * s_pow
+            s_pow *= lead
+        return Fraction(acc * lead**v, den * lead ** (len(quot) - 1))
+
+    return v, reduced
 
 
-def _residue(place: Place, f: FieldElement) -> tuple[int, Fraction | Polynomial]:
-    """(v, residue of f * pi^(-v)), a Fraction at degree 1, else mod pi."""
+def _residue(place: Place, f: FieldElement) -> tuple[int, _LazyResidue]:
+    """v, and on call the residue of f * pi^(-v), a Fraction at degree 1.
+
+    Above degree 1 the residue is a polynomial mod pi.  The numerator and
+    the denominator are each deflated once here; nothing is reduced mod pi
+    until the residue is asked for.
+    """
     f = RationalFunction.coerce(f)
     if f.is_zero():
         raise ValueError("the zero function has no unit part")
     if place.is_infinite:
-        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
-    vn, wn = _unit(place.pi, f.num)
-    vd, wd = _unit(place.pi, f.den)
+        return f.den.degree - f.num.degree, lambda: f.num.leading() / f.den.leading()
+    vn, num = _unit(place.pi, f.num)
+    vd, den = _unit(place.pi, f.den)
     if place.degree == 1:
-        return vn - vd, wn / wd
-    _, inv, _ = poly_extended_gcd(wd, place.pi)  # pi is irreducible
-    return vn - vd, wn * inv % place.pi
+        return vn - vd, lambda: num() / den()
+
+    def residue() -> Polynomial:
+        wd = den()
+        if wd.is_constant():
+            return num() * (1 / wd.as_constant())
+        _, inv, _ = poly_extended_gcd(wd, place.pi)  # pi is irreducible
+        return num() * inv % place.pi
+
+    return vn - vd, residue
 
 
 def valuation(place: Place, f: FieldElement) -> int:
@@ -145,7 +164,8 @@ def unit_part(place: Place, f: FieldElement) -> UnitPart:
             f"residue field at {place} is a number field of degree "
             f"{place.degree}, not Q"
         )
-    return UnitPart(*_residue(place, f))
+    v, residue = _residue(place, f)
+    return UnitPart(v, residue())
 
 
 def reduced_unit(place: Place, f: FieldElement) -> Polynomial:
@@ -155,7 +175,7 @@ def reduced_unit(place: Place, f: FieldElement) -> Polynomial:
     """
     if place.is_infinite:
         raise ValueError("reduced_unit applies to finite places")
-    residue = _residue(place, f)[1]
+    residue = _residue(place, f)[1]()
     return residue if place.degree > 1 else Polynomial.constant(residue)
 
 

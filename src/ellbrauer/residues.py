@@ -138,7 +138,9 @@ def residue_of_class(cls: QtBrauerClass, place: Place) -> ResidueVerdict:
         (vf, uf), (vg, ug) = _residue(place, f), _residue(place, g)
         vf, vg = vf % 2, vg % 2
         if vf or vg:
-            residues.append((-1) ** (vf * vg) * uf**vg * ug**vf)
+            # an entry's residue enters only where the other's valuation is odd
+            r = (-1) ** (vf * vg) * (uf() if vg else 1)
+            residues.append(r * (ug() if vf else 1))
     if not residues:
         return ResidueVerdict(place, Verdict.TRIVIALLY_ONE)
     if place.degree == 1:

@@ -5,15 +5,17 @@ import io
 import json
 import os
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ellbrauer import elliptic, funcfield, pipeline, squareclass
-from ellbrauer.cli import ExpressionError, main, parse_poly
+from ellbrauer.cli import ExpressionError, build_parser, main, parse_poly
 from ellbrauer.brauer import reference_curve
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
+from ellbrauer.residues import QtBrauerClass
 
 
 def run(capsys, *argv):
@@ -178,7 +180,8 @@ class TestResidues:
             ("(t, t", 5),
             ("(t, t)+", 7),
             ("t, t", 0),
-            ("(t t)", 4),
+            # the missing comma is reported where it was expected
+            ("(t t)", 3),
             ("(t, t))", 6),
             # errors inside an entry keep their offset into the whole literal
             ("(t^, t)", 3),
@@ -190,6 +193,21 @@ class TestResidues:
             main(["residues", literal])
         assert excinfo.value.code == 2
         assert f"position {position}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "symbol, message",
+        [
+            # errors in the second entry count from the start of the argument
+            ("t, t t", "position 5: unexpected character 't'"),
+            ("t", "position 1: expected ','"),
+            ("t, (t+1, 2)", "position 7: expected ')'"),
+        ],
+    )
+    def test_symbol_rejections(self, symbol, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["residues", "--symbol", symbol])
+        assert excinfo.value.code == 2
+        assert f"argument --symbol: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -207,6 +225,82 @@ class TestResidues:
         err = capsys.readouterr().err
         assert "error:" in err and "symbol entries must be nonzero" in err
         assert "Traceback" not in err
+
+
+def _literals(st):
+    """Random class literals: (pairs, --symbol values, text, positions).
+
+    Entries are nonzero polynomials printed with str, every '(' ',' '+' ')'
+    is padded with random whitespace, and positions are those of the
+    structural characters '(' ',' ')' '+' in the text.
+    """
+    poly = st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=5),
+        min_size=1,
+        max_size=4,
+    ).map(Polynomial).filter(bool)
+    space = st.text(alphabet=" \t", max_size=2)
+
+    @st.composite
+    def literal(draw):
+        pairs = draw(st.lists(st.tuples(poly, poly), min_size=1, max_size=4))
+        text, symbols, positions = draw(space), [], []
+        for i, (f, g) in enumerate(pairs):
+            if i:
+                positions.append(len(text))
+                text += "+" + draw(space)
+            symbol = f"{draw(space)}{f}{draw(space)},{draw(space)}{g}{draw(space)}"
+            symbols.append(symbol)
+            start = len(text)
+            positions += [start, start + 1 + symbol.index(","), start + 1 + len(symbol)]
+            text += f"({symbol}){draw(space)}"
+        return pairs, symbols, text, positions
+
+    return literal()
+
+
+def test_printed_classes_parse_back():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(deadline=None, max_examples=60)
+    @hypothesis.given(_literals(hypothesis.strategies))
+    def check(drawn):
+        pairs, symbols, text, _ = drawn
+        parser = build_parser()
+        literal = parser.parse_args(["residues", text]).class_literal
+        flags = [f"--symbol={symbol}" for symbol in symbols]
+        from_flags = parser.parse_args(["residues", *flags]).symbol
+        assert QtBrauerClass(literal) == QtBrauerClass(pairs)
+        assert QtBrauerClass(from_flags) == QtBrauerClass(pairs)
+
+    check()
+
+
+def test_corrupted_literals_report_a_position():
+    # No valid literal survives these corruptions: a character outside the
+    # grammar replaces one or is inserted, or a structural one is deleted.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, max_examples=60)
+    @hypothesis.given(_literals(st), st.data())
+    def check(drawn, data):
+        text, positions = drawn[2], drawn[3]
+        foreign = data.draw(st.sampled_from("x#@!;&"))
+        i = data.draw(st.integers(0, len(text) - 1))
+        j = data.draw(st.integers(0, len(text)))
+        corrupted = [text[:i] + foreign + text[i + 1 :], text[:j] + foreign + text[j:]]
+        corrupted += [text[:k] + text[k + 1 :] for k in positions]
+        for bad in corrupted:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                main(["residues", "--", bad])
+            assert exc.value.code == 2
+            match = re.search(r"argument CLASS: position (\d+): ", err.getvalue())
+            assert match, err.getvalue()
+            assert 0 <= int(match.group(1)) <= len(bad)
+
+    check()
 
 
 class TestDescent:
