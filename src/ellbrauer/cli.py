@@ -20,11 +20,18 @@ Polynomial arguments use a small expression grammar over the variable t:
     atom    := rational | 't' | '(' expr ')'
     pair    := expr ',' expr
     class   := '(' pair ')' ('+' '(' pair ')')*
+    number  := ('+' | '-')? rational
 
 --p, --q, --f and --g are exprs, --symbol is a pair and the CLASS argument
-of `residues` is a class.  Rational literals look like 3 or 3/2.
-Whitespace is ignored.  An error's position counts from the start of the
-argument.
+of `residues` is a class; the a and b of `hilbert` and the --x and --t of
+`evaluate` and `obstruct` are numbers.  Rational literals look like 3 or
+3/2.  Whitespace is ignored.  An error's position counts from the start
+of the argument.  Every numerator and denominator, of a literal or of a
+coefficient, has at most 1024 bits; a product or power that could exceed
+that, like one above degree 512, is refused before it is expanded.
+
+`main` may be called repeatedly in one process; every call parses with
+the one parser that `build_parser` builds on first use.
 
 The only environment variable honored is ELLBRAUER_VERBOSE: when set to
 a nonempty value, `verify` prints the evidence behind each passing check
@@ -38,6 +45,8 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .brauer import (
     REFERENCE_PAIR,
@@ -72,6 +81,11 @@ _MAX_EXPONENT = 512
 # Checked before a product or power is expanded, so that nested powers
 # such as ((t+1)^30)^30 are refused instead of built.
 _MAX_DEGREE = 512
+# Checked the same way, and every printed number stays far below Python's
+# 4300-digit limit on integer string conversion.
+_MAX_BITS = 1024
+# No natural of more significant digits than 2^_MAX_BITS fits the limit.
+_MAX_DIGITS = len(str(2**_MAX_BITS))
 
 
 class ExpressionError(ValueError):
@@ -130,18 +144,25 @@ class _ExprParser:
         self._expect(",")
         return f, self._expr()
 
+    def _sign(self) -> int:
+        if self._peek() not in ("+", "-"):
+            return 1
+        self.pos += 1
+        return -1 if self.text[self.pos - 1] == "-" else 1
+
+    def _number(self) -> Fraction:
+        sign = self._sign()
+        return sign * self._rational()
+
     def _expr(self) -> Polynomial:
-        sign = 1
-        if self._peek() in ("+", "-"):
-            if self.text[self.pos] == "-":
-                sign = -1
-            self.pos += 1
+        sign = self._sign()
         value = self._term() * sign
         while self._peek() in ("+", "-"):
             op = self.text[self.pos]
             self.pos += 1
             rhs = self._term()
             value = value + rhs if op == "+" else value - rhs
+            self._check_bits(_bits(value))
         return value
 
     def _term(self) -> Polynomial:
@@ -150,6 +171,7 @@ class _ExprParser:
             self.pos += 1
             rhs = self._factor()
             self._check_degree(value.degree + rhs.degree)
+            self._check_bits(_bits(value) + _bits(rhs))
             value = value * rhs
         return value
 
@@ -165,12 +187,20 @@ class _ExprParser:
                 self.pos,
             )
         self._check_degree(base.degree * exponent)
+        self._check_bits(_bits(base) * exponent)
         return base**exponent
 
     def _check_degree(self, degree: int) -> None:
         if degree > _MAX_DEGREE:
             raise ExpressionError(
                 f"degree {degree} exceeds the limit {_MAX_DEGREE}", self.pos
+            )
+
+    def _check_bits(self, bits: int) -> None:
+        if bits > _MAX_BITS:
+            raise ExpressionError(
+                f"coefficients may need {bits} bits, over the limit {_MAX_BITS}",
+                self.pos,
             )
 
     def _atom(self) -> Polynomial:
@@ -196,7 +226,14 @@ class _ExprParser:
             self.pos += 1
         if self.pos == start:
             raise ExpressionError("expected a number", self.pos)
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos].lstrip("0") or "0"
+        if len(digits) <= _MAX_DIGITS:
+            n = int(digits)
+            if n.bit_length() <= _MAX_BITS:
+                return n
+        raise ExpressionError(
+            f"number exceeds the limit of {_MAX_BITS} bits", self.pos
+        )
 
     def _rational(self) -> Fraction:
         numerator = self._natural()
@@ -207,6 +244,18 @@ class _ExprParser:
         if denominator == 0:
             raise ExpressionError("division by zero in a literal", self.pos)
         return Fraction(numerator, denominator)
+
+
+def _bits(f: Polynomial) -> int:
+    """Bits enough for every numerator and denominator of f's coefficients.
+
+    With d the common denominator of the coefficients, this is the bit
+    length of max(d, sum |d c|).  It bounds products before they are
+    built: _bits(f g) <= _bits(f) + _bits(g) and _bits(f^n) <= n _bits(f).
+    """
+    d = lcm(*(c.denominator for c in f.coeffs))
+    norm = sum(abs(c.numerator) * (d // c.denominator) for c in f.coeffs)
+    return max(d, norm).bit_length()
 
 
 def parse_poly(text: str) -> Polynomial:
@@ -236,13 +285,6 @@ def _entries(value) -> list[Polynomial]:
     if isinstance(value, Polynomial):
         return [value]
     return [entry for part in value for entry in _entries(part)]
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
 def _int_at_least(minimum: int):
@@ -512,7 +554,13 @@ def _sample_place_list(text: str) -> list[RationalPlace]:
     return places
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    The returned parser is shared by every later call and by `main`; do
+    not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="ellbrauer",
         description=(
@@ -524,6 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Roots may be zero: `fibers --p 0` reports the vanishing discriminant.
     root_arg = _grammar_arg(_ExprParser._expr, nonzero=False)
     entry_arg = _grammar_arg(_ExprParser._expr, nonzero=True)
+    number_arg = _grammar_arg(_ExprParser._number, nonzero=False)
 
     def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -603,8 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     hil = add("hilbert", "Hilbert symbol over a completion of Q", _cmd_hilbert)
-    hil.add_argument("a", type=_parse_rational)
-    hil.add_argument("b", type=_parse_rational)
+    hil.add_argument("a", type=number_arg)
+    hil.add_argument("b", type=number_arg)
     hil.add_argument(
         "--place", type=_parse_place, required=True, help="'real' or a prime"
     )
@@ -614,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         "local invariant of the reference class at one point",
         _cmd_evaluate,
     )
-    ev.add_argument("--x", type=_parse_rational, default=None)
-    ev.add_argument("--t", type=_parse_rational, default=None)
+    ev.add_argument("--x", type=number_arg, default=None)
+    ev.add_argument("--t", type=number_arg, default=None)
     ev.add_argument(
         "--place", type=_parse_place, required=True, help="'real' or a prime"
     )
@@ -629,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pair the reference class against an adelic point",
         _cmd_obstruct,
     )
-    ob.add_argument("--x", type=_parse_rational, default=None)
-    ob.add_argument("--t", type=_parse_rational, default=None)
+    ob.add_argument("--x", type=number_arg, default=None)
+    ob.add_argument("--t", type=number_arg, default=None)
     ob.add_argument(
         "--place", type=_parse_place, default=RationalPlace.prime(2),
         help="place of the non zero section component",

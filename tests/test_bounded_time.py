@@ -132,6 +132,29 @@ def test_hilbert_symbol_at_a_mersenne_prime():
     assert budget.elapsed < 1.0
 
 
+# Each ended in a ValueError traceback from Python's 4300-digit limit on
+# integer string conversion (exit 1), except the residues run, which had
+# not finished after 30 s; a literal in exponent form was expanded by
+# Fraction before anything was checked.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fibers", "--p", "(2^512)^512", "--q", "t"],
+        ["evaluate", "--x", "1e5000", "--t", "2", "--place", "2"],
+        ["hilbert", "--place=3", "--", "1e200000", "5"],
+        ["residues", "(t, (2^512)^512*3)"],
+    ],
+)
+def test_oversized_numbers_are_usage_errors(argv):
+    err = io.StringIO()
+    with _Budget() as budget, pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stderr(err):
+            _cli(*argv)
+    assert exc.value.code == 2
+    assert ": position " in err.getvalue()
+    assert budget.elapsed < 1.0
+
+
 def test_nested_power_over_the_degree_cap_is_usage_error():
     with _Budget() as budget, pytest.raises(SystemExit) as exc:
         with contextlib.redirect_stderr(io.StringIO()):

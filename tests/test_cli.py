@@ -1,11 +1,14 @@
 """Command line behavior: parsing, output shapes, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +61,13 @@ class TestExpressionParser:
             ("t^^2", 2, "expected a number"),
             ("t^-2", 2, "expected a number"),
             ("x", 0, "unexpected character"),
+            ("(2^512)^512", 11, "262656 bits, over the limit 1024"),
+            ("(t+3)^512", 9, "1536 bits, over the limit 1024"),
+            ("(1/3)^500+(1/5)^400", 19, "1200 bits, over the limit 1024"),
+            ("2^500*t+1/3^500", 15, "1293 bits, over the limit 1024"),
+            (str(2**1024), 309, "number exceeds the limit of 1024 bits"),
+            ("1" * 5000, 5000, "number exceeds the limit of 1024 bits"),
+            ("t^" + "9" * 5000, 5002, "number exceeds the limit of 1024 bits"),
         ],
     )
     def test_rejections_carry_positions(self, text, position, fragment):
@@ -72,6 +82,15 @@ class TestExpressionParser:
     def test_degree_limit_is_inclusive(self):
         assert parse_poly("(t^2+1)^256").degree == 512
         assert parse_poly("t^300*(t+1)^212").degree == 512
+
+    def test_bit_limit_is_inclusive(self):
+        largest = 2**1024 - 1
+        assert parse_poly(f"{largest}/{largest - 1}") == Fraction(
+            largest, largest - 1
+        )
+        assert parse_poly("0" * 400 + "7") == 7
+        # 512 times the 2 bits of 3: on the limit.
+        assert parse_poly("3^512") == 3**512
 
 
 class TestFibers:
@@ -393,6 +412,31 @@ class TestHilbert:
         with pytest.raises(SystemExit) as excinfo:
             main(["hilbert", "3", "5", "--place", "9"])
         assert excinfo.value.code == 2
+
+    def test_signed_rationals_with_whitespace(self, capsys):
+        code, lines = run(capsys, "hilbert", "--place", "3", "--", " - 3 / 2", "+5")
+        assert code == 0
+        assert lines[0] == "(-3/2, 5)_3 = -1"
+
+
+# Numbers are read with the grammar's rational production plus a sign, so
+# decimal and exponent forms are refused where they stop matching it.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hilbert", "--place", "3", "--", "1.5", "2"], "argument a: position 1:"),
+        (["hilbert", "--place", "3", "--", "2", "1e3"], "argument b: position 1:"),
+        (["hilbert", "--place", "3", "--", "1/0", "2"], "position 3: division"),
+        (["evaluate", "--x", "1", "--t", "2.0", "--place", "2"], "--t: position 1:"),
+        (["obstruct", "--x", "1E2"], "--x: position 1: unexpected character 'E'"),
+        (["obstruct", "--t", "-"], "--t: position 1: expected a number"),
+    ],
+)
+def test_numbers_outside_the_grammar_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -743,6 +787,34 @@ class TestVerifyOutput:
         assert "_sample_place_list" not in err
 
 
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # Building the parser costs several times what a hilbert run computes.
+    progs = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    build_parser()
+    one_build = list(progs)
+    build_parser.cache_clear()
+    progs.clear()
+    assert main(["hilbert", "82", "12", "--place", "2"]) == 0
+    assert main(["descent"]) == 0
+    assert main(["residues", "--symbol", "2, t^2+1"]) == 3
+    with pytest.raises(SystemExit) as excinfo:
+        main(["hilbert", "3", "5", "--place", "9"])
+    assert excinfo.value.code == 2
+    assert main(["evaluate", "--zero-section", "--place", "7"]) == 0
+    capsys.readouterr()
+    # The top-level parser and one per subcommand.
+    assert len(one_build) == 1 + len(GOLDEN_SUBCOMMANDS)
+    assert progs == one_build
+
+
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -760,6 +832,11 @@ class TestTopLevel:
 # ELLBRAUER_VERBOSE=1.  The expected stdout, stderr and exit code of
 # every run are in cli_golden.json, written by `python tests/test_cli.py`.
 GOLDEN_FILE = Path(__file__).with_name("cli_golden.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN_SUBCOMMANDS = {
+    "fibers", "residues", "descent", "transcendence",
+    "hilbert", "evaluate", "obstruct", "verify",
+}
 GOLDEN_COMMANDS = [
     ["fibers"],
     ["fibers", "--p", "1", "--q", "t"],
@@ -845,11 +922,34 @@ class TestGoldenMatrix:
         assert sorted(golden) == sorted(_golden_id(*run) for run in GOLDEN_RUNS)
 
     def test_every_subcommand_and_error_exit_is_covered(self, golden):
-        assert {argv[0] for argv in GOLDEN_COMMANDS} == {
-            "fibers", "residues", "descent", "transcendence",
-            "hilbert", "evaluate", "obstruct", "verify",
-        }
+        assert {argv[0] for argv in GOLDEN_COMMANDS} == GOLDEN_SUBCOMMANDS
         assert {entry["exit"] for entry in golden.values()} == {0, 1, 2, 3}
+
+    def test_one_process_runs_the_matrix_both_ways(self, golden):
+        # main reuses one parser, so no run may leave state for the next.
+        build_parser.cache_clear()
+        for runs in (GOLDEN_RUNS, GOLDEN_RUNS[::-1]):
+            for argv, verbose in runs:
+                assert _capture(argv, verbose) == golden[_golden_id(argv, verbose)]
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["hilbert", "-14", "36", "--place", "2"]]
+    )
+    def test_fresh_interpreter(self, golden, argv):
+        # The one-call-per-process path of the installed command.
+        env = dict(os.environ)
+        env.pop("ELLBRAUER_VERBOSE", None)
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellbrauer.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60, check=False,
+        )
+        assert {
+            "exit": proc.returncode,
+            "stdout": proc.stdout.splitlines(),
+            "stderr": proc.stderr.splitlines(),
+        } == golden[_golden_id(_with_format(argv, "human"), "")]
 
     @pytest.mark.parametrize("verbose", ["", "1"])
     def test_one_record_per_human_line(self, golden, verbose):
