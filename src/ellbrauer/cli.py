@@ -213,7 +213,7 @@ class _ExprParser:
         if ch == "t":
             self.pos += 1
             return T
-        if ch.isdigit():
+        if ch.isdecimal():
             return Polynomial.constant(self._rational())
         if ch == "":
             raise ExpressionError("unexpected end of expression", self.pos)
@@ -222,7 +222,7 @@ class _ExprParser:
     def _natural(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ExpressionError("expected a number", self.pos)

@@ -32,11 +32,12 @@ from typing import Sequence
 
 from ._valueclass import value_class
 from .exactalg import RationalFunction
-from .elliptic import WeierstrassCurve, split_factors
+from .elliptic import WeierstrassCurve, base_factors, split_factors
 from .residues import QtBrauerClass, _SymbolSum
 from .squareclass import (
     FieldMode,
     SquareClassVector,
+    _nonzero,
     class_from_factors,
     class_of,
     in_span,
@@ -320,9 +321,19 @@ def transcendence_test(
     torsion images are independent they span the kernel of the symbol
     map.  The class then dies over C exactly when the square-class pair
     of (f, g) over C(t) falls in that span.
+
+    The torsion images are sums of the classes of p, q and p - q, so f
+    and g are factored over the curve's factor base of their irreducibles
+    (elliptic.base_factors); only the cofactors reach poly_factor.  A zero
+    f or g is reported ahead of a curve that is not split.
     """
     mode = FieldMode.CONSTANTS_ARE_SQUARES
-    target = DescentPair(class_of(f, mode), class_of(g, mode))
+    f, g = _nonzero(f), _nonzero(g)
+    _require_split(curve)
+    target = DescentPair(
+        class_from_factors(*base_factors(curve, f), mode),
+        class_from_factors(*base_factors(curve, g), mode),
+    )
     gens = (
         descent_image(CurvePoint.two_torsion_p(), curve, mode),
         descent_image(CurvePoint.two_torsion_q(), curve, mode),

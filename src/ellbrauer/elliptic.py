@@ -16,7 +16,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._valueclass import value_class
-from .exactalg import Factorization, Polynomial, RationalFunction, poly_factor
+from .exactalg import (
+    Factorization, Polynomial, RationalFunction, _factor_over, _integer_model,
+    poly_factor,
+)
 from .funcfield import INFINITY, Place, places_of_support, valuation
 
 
@@ -33,7 +36,7 @@ class WeierstrassCurve:
 
     __slots__ = (
         "a1", "a2", "a3", "a4", "a6", "split_p", "split_q", "split_p_minus_q",
-        "_inv", "_excluded", "_factors",
+        "_inv", "_excluded", "_factors", "_base",
     )
 
     def __init__(self, a1, a2, a3, a4, a6) -> None:
@@ -51,6 +54,8 @@ class WeierstrassCurve:
         self._excluded: tuple[Fraction, ...] | None = None
         # Filled in by split_factors, one entry per polynomial factored.
         self._factors: dict[Polynomial, Factorization] = {}
+        # Filled in by factor_base from the entries of _factors.
+        self._base: tuple[tuple[Polynomial, list[int]], ...] | None = None
 
     @staticmethod
     def from_split(p, q) -> "WeierstrassCurve":
@@ -113,13 +118,53 @@ def split_factors(
 
     Each polynomial is factored once per curve and kept on it, so fiber
     classification, excluded parameters and the torsion descent images
-    share the work.
+    share the work.  The irreducibles found make up the curve's factor
+    base (factor_base), which base_factors divides out of other functions.
     """
     cache = curve._factors
     for poly in (f.num, f.den):
         if poly not in cache:
             cache[poly] = poly_factor(poly)
     return cache[f.num], cache[f.den]
+
+
+def factor_base(curve: WeierstrassCurve) -> tuple[tuple[Polynomial, list[int]], ...]:
+    """The monic irreducible factors of p, q and p - q on a split curve.
+
+    Each comes with its integer model for exactalg._deflate, in sort
+    order (lowest degree first).  Built once per curve and kept on it.
+    """
+    if curve._base is None:
+        bases = {
+            base
+            for f in (curve.split_p, curve.split_q, curve.split_p_minus_q)
+            for fac in split_factors(curve, f)
+            for base, _ in fac.factors
+        }
+        curve._base = tuple(
+            (base, _integer_model(base)[0])
+            for base in sorted(bases, key=Polynomial.sort_key)
+        )
+    return curve._base
+
+
+def base_factors(
+    curve: WeierstrassCurve, f: RationalFunction
+) -> tuple[Factorization, Factorization]:
+    """Factorizations of the numerator and denominator of a nonzero f.
+
+    The curve's factor base is divided out first and only the cofactor is
+    factored, after Bernstein's coprime bases ("Factoring into coprimes in
+    essentially linear time", J. Algorithms 2005).  The result is
+    poly_factor's, as factorization into monic irreducibles is unique.
+    The curve must be split.
+    """
+    base = factor_base(curve)
+    return tuple(
+        Factorization(poly.leading(), ()) if poly.degree == 0
+        else _factor_over(poly, base)
+        for poly in (f.num, f.den)
+    )
 
 
 def candidate_places(curve: WeierstrassCurve) -> list[Place]:
@@ -136,13 +181,7 @@ def candidate_places(curve: WeierstrassCurve) -> list[Place]:
     if not curve.is_split:
         places = places_of_support((disc, c4.den, c6.den))
         return [pl for pl in places if not pl.is_infinite]
-    bases = {
-        base
-        for f in (curve.split_p, curve.split_q, curve.split_p_minus_q)
-        for fac in split_factors(curve, f)
-        for base, _ in fac.factors
-    }
-    return sorted(map(Place, bases), key=Place.sort_key)
+    return [Place(base) for base, _ in factor_base(curve)]
 
 
 @value_class

@@ -15,6 +15,8 @@ Factorization over Q proceeds by squarefree reduction, rational root
 extraction, and a bounded divisor-interpolation search for factors of the
 rootless part; each factor's multiplicity is counted by dividing integer
 models in Z (``_deflate``, which also serves ``funcfield``'s valuations).
+Irreducibles already known can be divided out the same way before the
+search runs (``_factor_over``).
 The search is exhaustive for the degrees this package works with (curve
 coefficient data of moderate degree); it is not meant as a general-purpose
 factorizer for large random inputs.
@@ -512,21 +514,37 @@ def poly_factor(f: Polynomial) -> Factorization:
     """Factor a nonzero polynomial into monic irreducibles over Q."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.leading()
+    if f.degree == 0:
+        return Factorization(f.leading(), ())
     m = f.monic()
-    if m.degree == 0:
-        return Factorization(unit, ())
     radical = m // poly_gcd(m, m.derivative())
-    ns, _ = _integer_model(m)
+    # Every irreducible factor of f divides the radical, so no cofactor
+    # is left for _factor_over to hand back.
+    bases = [(base, _integer_model(base)[0]) for base in _factor_squarefree(radical)]
+    return _factor_over(f, bases)
+
+
+def _factor_over(
+    f: Polynomial, bases: Sequence[tuple[Polynomial, list[int]]]
+) -> Factorization:
+    """poly_factor(f) for nonconstant f, with known irreducibles divided out first.
+
+    bases pairs monic irreducibles with their integer models.  Each is
+    divided out of f's integer model to full multiplicity (Gauss's lemma:
+    a primitive divisor in Q[t] divides in Z[t]), and only the cofactor
+    left over goes to poly_factor.  Factorization into monic irreducibles
+    is unique, so the result does not depend on which bases are given.
+    """
+    ns = _integer_model(f)[0]
     factors = []
-    for base in _factor_squarefree(radical):
-        exp, ns = _deflate(_integer_model(base)[0], ns)
-        factors.append((base, exp))
-    # The model of monic m is primitive, and so is each base's, with a
-    # positive lead: dividing them out to full multiplicity leaves 1.
-    assert ns == [1]
+    for base, ps in bases:
+        exp, ns = _deflate(ps, ns)
+        if exp:
+            factors.append((base, exp))
+    if len(ns) > 1:
+        factors.extend(poly_factor(Polynomial(ns)).factors)
     factors.sort(key=lambda fe: fe[0].sort_key())
-    return Factorization(unit, tuple(factors))
+    return Factorization(f.leading(), tuple(factors))
 
 
 def _factor_squarefree(h: Polynomial) -> list[Polynomial]:

@@ -103,12 +103,17 @@ class SquareClassVector:
 
 def class_of(f: FieldElement, mode: FieldMode) -> SquareClassVector:
     """Square class of a nonzero field element in the given mode."""
-    rf = RationalFunction.coerce(f)
-    if rf.is_zero():
-        raise ValueError("0 has no square class")
+    rf = _nonzero(f)
     if mode is FieldMode.RATIONALS_ONLY and not rf.is_constant():
         raise ValueError(f"{rf} is not a rational constant")
     return class_from_factors(_factor(rf.num), _factor(rf.den), mode)
+
+
+def _nonzero(f: FieldElement) -> RationalFunction:
+    rf = RationalFunction.coerce(f)
+    if rf.is_zero():
+        raise ValueError("0 has no square class")
+    return rf
 
 
 def _factor(poly: Polynomial) -> Factorization:

@@ -68,6 +68,9 @@ class TestExpressionParser:
             (str(2**1024), 309, "number exceeds the limit of 1024 bits"),
             ("1" * 5000, 5000, "number exceeds the limit of 1024 bits"),
             ("t^" + "9" * 5000, 5002, "number exceeds the limit of 1024 bits"),
+            # Digits are what int() reads: superscripts are not numbers.
+            ("t^\u00b2", 2, "expected a number"),
+            ("\u00b2", 0, "unexpected character '\u00b2'"),
         ],
     )
     def test_rejections_carry_positions(self, text, position, fragment):
@@ -430,6 +433,8 @@ class TestHilbert:
         (["evaluate", "--x", "1", "--t", "2.0", "--place", "2"], "--t: position 1:"),
         (["obstruct", "--x", "1E2"], "--x: position 1: unexpected character 'E'"),
         (["obstruct", "--t", "-"], "--t: position 1: expected a number"),
+        (["hilbert", "--place", "3", "--", "\u00b2", "5"], "a: position 0: expected a"),
+        (["fibers", "--p", "t^\u00b2", "--q", "t"], "--p: position 2: expected a"),
     ],
 )
 def test_numbers_outside_the_grammar_are_usage_errors(capsys, argv, message):

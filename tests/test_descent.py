@@ -178,23 +178,14 @@ class TestTorsionImagesFromFactors:
             assert descent_image(point, curve, mode) == expected
 
     @pytest.mark.parametrize("index", [1, 2, 4])
-    def test_each_polynomial_factored_once_per_curve(self, index, monkeypatch):
+    def test_each_polynomial_factored_once_per_curve(self, index, factor_calls):
         p, q = SPLIT_CURVES[index]
         p, q = RationalFunction.coerce(p), RationalFunction.coerce(q)
-        f, g = 7 * (T + 5), (T - 11) * (T**2 + 3)
-        modules = [
-            m for name, m in sys.modules.items()
-            if name.startswith("ellbrauer") and hasattr(m, "poly_factor")
-        ]
-        original = exactalg.poly_factor
-        calls = Counter()
-
-        def counting(poly):
-            calls[poly] += 1
-            return original(poly)
-
-        for module in modules:
-            monkeypatch.setattr(module, "poly_factor", counting)
+        # The target is built from the curve's factors, which are divided
+        # out of it: only the cofactors are left for poly_factor.
+        cofactors = (T + 5, (T - 11) * (T**2 + 3))
+        f = 7 * (p - q) * cofactors[0]
+        g = q * q * p * cofactors[1]
         curve = WeierstrassCurve.from_split(p, q)
         classify_surface(curve)
         excluded_parameters(curve)
@@ -204,12 +195,56 @@ class TestTorsionImagesFromFactors:
         transcendence_test(f, g, curve, mw_rank_bound=0)
         # Constant polynomials are units; factoring them costs nothing.
         expected = {
-            poly: 1
-            for h in (p, q, p - q, RationalFunction(f), RationalFunction(g))
+            poly.monic(): 1
+            for h in (p, q, p - q)
             for poly in (h.num, h.den)
             if not poly.is_constant()
         }
-        assert {k: n for k, n in calls.items() if not k.is_constant()} == expected
+        expected.update({c: 1 for c in cofactors})
+        counted = {k: n for k, n in factor_calls.items() if not k.is_constant()}
+        assert counted == expected
+
+    def test_quartic_of_p_minus_q_factored_once(self, factor_calls):
+        # p - q = -6 h and q = 6 (t-3)(t-2)(t+2)^2, so f = 6 q h and g are
+        # built from the factor base but for the square (t+6)^2.
+        h = T**4 - T**3 - 9 * T**2 + 3 * T + 28
+        p = -6 * T**2 + 6 * T - 24
+        q = 6 * T**4 - 6 * T**3 - 60 * T**2 + 24 * T + 144
+        f = 36 * (T - 3) * (T - 2) * (T + 2) ** 2 * h
+        g = -6 * (T + 6) ** 2 * h
+
+        def reaching_h() -> int:
+            return sum(n for poly, n in factor_calls.items() if (poly % h).is_zero())
+
+        # Factoring f and g whole would hand h to poly_factor three times.
+        curve = WeierstrassCurve.from_split(p, q)
+        result = transcendence_test(f, g, curve, mw_rank_bound=0)
+        assert result.verdict is TranscendenceVerdict.ALGEBRAIC_OVER_C
+        assert reaching_h() == 1
+        # The curve keeps the factors of p - q; a fresh one factors it again.
+        transcendence_test(f, g, curve, mw_rank_bound=0)
+        assert reaching_h() == 1
+        transcendence_test(f, g, WeierstrassCurve.from_split(p, q), mw_rank_bound=0)
+        assert reaching_h() == 2
+
+
+@pytest.fixture
+def factor_calls(monkeypatch) -> Counter:
+    """poly_factor calls by monic argument, wherever the package calls it."""
+    modules = [
+        m for name, m in sys.modules.items()
+        if name.startswith("ellbrauer") and hasattr(m, "poly_factor")
+    ]
+    original = exactalg.poly_factor
+    calls = Counter()
+
+    def counting(poly):
+        calls[poly.monic()] += 1
+        return original(poly)
+
+    for module in modules:
+        monkeypatch.setattr(module, "poly_factor", counting)
+    return calls
 
 
 class TestDescentPair:
@@ -288,6 +323,14 @@ class TestBrauerClassAlgebra:
         assert cls.substitute_neg_t().substitute_neg_t() == cls
 
 
+NON_SPLIT = WeierstrassCurve(0, 0, 0, T, Polynomial.constant(1))
+EQUAL_ROOTS = WeierstrassCurve.from_split(T, T)
+ZERO_ROOT = WeierstrassCurve.from_split(0, T)
+NOT_SPLIT_MESSAGE = "descent requires the split form y^2 = x(x-p)(x-q)"
+DEGENERATE_MESSAGE = "split curve is degenerate: 0, p, q must be distinct"
+COERCE_MESSAGE = "RationalFunction expects polynomial or scalar operands"
+
+
 class TestTranscendence:
     def test_reference_class_survives(self):
         result = transcendence_test(
@@ -336,6 +379,27 @@ class TestTranscendence:
         result = transcendence_test(T, T + 1, curve, mw_rank_bound=0)
         assert result.verdict is TranscendenceVerdict.UNKNOWN
         assert "dependent" in result.reason
+
+    # f and g are checked before the curve, and the curve before any
+    # factoring, so each bad input keeps the error it has always had.
+    @pytest.mark.parametrize(
+        "curve, f, g, error, message",
+        [
+            (NON_SPLIT, T, T + 1, ValueError, NOT_SPLIT_MESSAGE),
+            (EQUAL_ROOTS, T, T + 1, ValueError, DEGENERATE_MESSAGE),
+            (ZERO_ROOT, T, T + 1, ValueError, DEGENERATE_MESSAGE),
+            (NON_SPLIT, 0, T + 1, ValueError, "0 has no square class"),
+            (EQUAL_ROOTS, T, 0, ValueError, "0 has no square class"),
+            (NON_SPLIT, 0, "t", ValueError, "0 has no square class"),
+            (ZERO_ROOT, T, 1.5, TypeError, COERCE_MESSAGE),
+        ],
+    )
+    def test_bad_inputs_keep_their_errors(self, curve, f, g, error, message):
+        with pytest.raises(error) as excinfo:
+            transcendence_test(f, g, curve, mw_rank_bound=0)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
 
 
 class TestCurvePoint:
