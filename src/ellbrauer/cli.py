@@ -29,6 +29,7 @@ of `residues` is a class; the a and b of `hilbert` and the --x and --t of
 of the argument.  Every numerator and denominator, of a literal or of a
 coefficient, has at most 1024 bits; a product or power that could exceed
 that, like one above degree 512, is refused before it is expanded.
+Parentheses nest at most 100 deep.
 
 `main` may be called repeatedly in one process; every call parses with
 the one parser that `build_parser` builds on first use.
@@ -46,7 +47,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .brauer import (
     REFERENCE_PAIR,
@@ -66,7 +66,7 @@ from .elliptic import (
     WeierstrassCurve,
     classify_surface,
 )
-from .exactalg import Polynomial, T
+from .exactalg import Polynomial, T, coefficient_bits
 from .hilbert import REAL, RationalPlace, hilbert_symbol
 from .pipeline import TORSION_POINTS, reference_checks
 from .residues import QtBrauerClass, check_unramified_P1
@@ -86,6 +86,9 @@ _MAX_DEGREE = 512
 _MAX_BITS = 1024
 # No natural of more significant digits than 2^_MAX_BITS fits the limit.
 _MAX_DIGITS = len(str(2**_MAX_BITS))
+# Each level of parentheses costs the recursive descent four frames, so
+# this keeps deep nesting far from Python's recursion limit.
+_MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -103,6 +106,7 @@ class _ExprParser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def parse(self, production):
         """The whole text as one production, an unbound method of this class."""
@@ -162,7 +166,7 @@ class _ExprParser:
             self.pos += 1
             rhs = self._term()
             value = value + rhs if op == "+" else value - rhs
-            self._check_bits(_bits(value))
+            self._check_bits(coefficient_bits(value))
         return value
 
     def _term(self) -> Polynomial:
@@ -171,7 +175,7 @@ class _ExprParser:
             self.pos += 1
             rhs = self._factor()
             self._check_degree(value.degree + rhs.degree)
-            self._check_bits(_bits(value) + _bits(rhs))
+            self._check_bits(coefficient_bits(value) + coefficient_bits(rhs))
             value = value * rhs
         return value
 
@@ -187,7 +191,7 @@ class _ExprParser:
                 self.pos,
             )
         self._check_degree(base.degree * exponent)
-        self._check_bits(_bits(base) * exponent)
+        self._check_bits(coefficient_bits(base) * exponent)
         return base**exponent
 
     def _check_degree(self, degree: int) -> None:
@@ -206,9 +210,15 @@ class _ExprParser:
     def _atom(self) -> Polynomial:
         ch = self._peek()
         if ch == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExpressionError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", self.pos
+                )
+            self.depth += 1
             self.pos += 1
             inner = self._expr()
             self._expect(")")
+            self.depth -= 1
             return inner
         if ch == "t":
             self.pos += 1
@@ -244,18 +254,6 @@ class _ExprParser:
         if denominator == 0:
             raise ExpressionError("division by zero in a literal", self.pos)
         return Fraction(numerator, denominator)
-
-
-def _bits(f: Polynomial) -> int:
-    """Bits enough for every numerator and denominator of f's coefficients.
-
-    With d the common denominator of the coefficients, this is the bit
-    length of max(d, sum |d c|).  It bounds products before they are
-    built: _bits(f g) <= _bits(f) + _bits(g) and _bits(f^n) <= n _bits(f).
-    """
-    d = lcm(*(c.denominator for c in f.coeffs))
-    norm = sum(abs(c.numerator) * (d // c.denominator) for c in f.coeffs)
-    return max(d, norm).bit_length()
 
 
 def parse_poly(text: str) -> Polynomial:

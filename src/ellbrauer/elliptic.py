@@ -17,8 +17,7 @@ from typing import Sequence
 
 from ._valueclass import value_class
 from .exactalg import (
-    Factorization, Polynomial, RationalFunction, _factor_over, _integer_model,
-    poly_factor,
+    Factorization, Polynomial, RationalFunction, factor_over, poly_factor,
 )
 from .funcfield import INFINITY, Place, places_of_support, valuation
 
@@ -55,7 +54,7 @@ class WeierstrassCurve:
         # Filled in by split_factors, one entry per polynomial factored.
         self._factors: dict[Polynomial, Factorization] = {}
         # Filled in by factor_base from the entries of _factors.
-        self._base: tuple[tuple[Polynomial, list[int]], ...] | None = None
+        self._base: tuple[Polynomial, ...] | None = None
 
     @staticmethod
     def from_split(p, q) -> "WeierstrassCurve":
@@ -128,11 +127,11 @@ def split_factors(
     return cache[f.num], cache[f.den]
 
 
-def factor_base(curve: WeierstrassCurve) -> tuple[tuple[Polynomial, list[int]], ...]:
+def factor_base(curve: WeierstrassCurve) -> tuple[Polynomial, ...]:
     """The monic irreducible factors of p, q and p - q on a split curve.
 
-    Each comes with its integer model for exactalg._deflate, in sort
-    order (lowest degree first).  Built once per curve and kept on it.
+    In sort order (lowest degree first); built once per curve and kept
+    on it.
     """
     if curve._base is None:
         bases = {
@@ -141,10 +140,7 @@ def factor_base(curve: WeierstrassCurve) -> tuple[tuple[Polynomial, list[int]], 
             for fac in split_factors(curve, f)
             for base, _ in fac.factors
         }
-        curve._base = tuple(
-            (base, _integer_model(base)[0])
-            for base in sorted(bases, key=Polynomial.sort_key)
-        )
+        curve._base = tuple(sorted(bases, key=Polynomial.sort_key))
     return curve._base
 
 
@@ -160,11 +156,7 @@ def base_factors(
     The curve must be split.
     """
     base = factor_base(curve)
-    return tuple(
-        Factorization(poly.leading(), ()) if poly.degree == 0
-        else _factor_over(poly, base)
-        for poly in (f.num, f.den)
-    )
+    return factor_over(f.num, base), factor_over(f.den, base)
 
 
 def candidate_places(curve: WeierstrassCurve) -> list[Place]:
@@ -181,7 +173,7 @@ def candidate_places(curve: WeierstrassCurve) -> list[Place]:
     if not curve.is_split:
         places = places_of_support((disc, c4.den, c6.den))
         return [pl for pl in places if not pl.is_infinite]
-    return [Place(base) for base, _ in factor_base(curve)]
+    return [Place(base) for base in factor_base(curve)]
 
 
 @value_class

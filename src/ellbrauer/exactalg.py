@@ -1,9 +1,15 @@
-"""Exact arithmetic over Q and Q[t].
+"""Exact arithmetic over Q and Q[t], and the integer models behind it.
 
 Polynomials are dense tuples of Fraction coefficients, lowest degree first,
 with no trailing zeros, so equality and hashing are structural.  Rational
 functions are reduced quotients with a monic denominator.  Everything here
 is exact: no floats anywhere.
+
+Only this module turns polynomials into integers: integer models (the
+coefficients times their common denominator D, ``_integer_model``), the
+deflation of one model by another in Z (``_deflate``), and what is built
+on them: ``deflate_at`` (valuation and unit part at a finite place),
+``coefficient_bits`` and ``factor_over``.
 
 Evaluation at a rational a/b runs Horner's rule on integers: the
 coefficients are brought to their common denominator D and the powers of b
@@ -12,14 +18,12 @@ is normalised per call.  A rational function with a constant (hence unit) denomi
 is evaluated as its numerator.
 
 Factorization over Q proceeds by squarefree reduction, rational root
-extraction, and a bounded divisor-interpolation search for factors of the
-rootless part; each factor's multiplicity is counted by dividing integer
-models in Z (``_deflate``, which also serves ``funcfield``'s valuations).
-Irreducibles already known can be divided out the same way before the
-search runs (``_factor_over``).
-The search is exhaustive for the degrees this package works with (curve
-coefficient data of moderate degree); it is not meant as a general-purpose
-factorizer for large random inputs.
+extraction, and a divisor-interpolation search for factors of the
+rootless part; each factor's multiplicity is counted by deflating
+integer models.  The search is exhaustive, and its cost grows with the
+degree and with the divisors of the values it interpolates: it is meant
+for curve coefficient data of moderate degree.  Factoring t^511 - 1,
+as ``fibers --p t^512 --q t`` asks, does not finish.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from ._valueclass import value_class
 
@@ -302,6 +306,45 @@ def _deflate(ps: list[int], ns: list[int]) -> tuple[int, list[int]]:
     return v, ns
 
 
+def deflate_at(
+    pi: Polynomial, poly: Polynomial
+) -> tuple[int, Callable[[], Fraction | Polynomial]]:
+    """v, and on call the residue of w, for nonzero poly = pi^v * w.
+
+    pi is monic and nonconstant.  With integer models P = lead * pi and
+    N = D * poly, N = P^v * quot in Z[t], so w = quot * lead^v / D.  The
+    residue is w(r) at pi = t - r, by Horner's rule on integers, and
+    w mod pi above degree 1.
+    """
+    ps, lead = _integer_model(pi)
+    ns, den = _integer_model(poly)
+    v, quot = _deflate(ps, ns)
+
+    def reduced() -> Fraction | Polynomial:
+        if len(ps) > 2:
+            return Polynomial(quot) % pi * Fraction(lead**v, den)
+        # Horner over r and powers of s gives s^m * quot(r/s).
+        r, acc, s_pow = -ps[0], 0, 1
+        for c in reversed(quot):
+            acc = acc * r + c * s_pow
+            s_pow *= lead
+        return Fraction(acc * lead**v, den * lead ** (len(quot) - 1))
+
+    return v, reduced
+
+
+def coefficient_bits(f: Polynomial) -> int:
+    """Bits enough for every numerator and denominator of f's coefficients.
+
+    With D the common denominator of the coefficients, this is the bit
+    length of max(D, sum |D c|).  It bounds products before they are
+    built: the bits of f g are at most those of f plus those of g, and
+    the bits of f^n at most n times those of f.
+    """
+    ns, den = _integer_model(f)
+    return max(den, sum(map(abs, ns))).bit_length()
+
+
 def _coerce_poly(x: object) -> Polynomial | None:
     if isinstance(x, Polynomial):
         return x
@@ -517,28 +560,25 @@ def poly_factor(f: Polynomial) -> Factorization:
     if f.degree == 0:
         return Factorization(f.leading(), ())
     m = f.monic()
-    radical = m // poly_gcd(m, m.derivative())
     # Every irreducible factor of f divides the radical, so no cofactor
-    # is left for _factor_over to hand back.
-    bases = [(base, _integer_model(base)[0]) for base in _factor_squarefree(radical)]
-    return _factor_over(f, bases)
+    # is left for factor_over to hand back.
+    return factor_over(f, _factor_squarefree(m // poly_gcd(m, m.derivative())))
 
 
-def _factor_over(
-    f: Polynomial, bases: Sequence[tuple[Polynomial, list[int]]]
-) -> Factorization:
-    """poly_factor(f) for nonconstant f, with known irreducibles divided out first.
+def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
+    """poly_factor(f) for nonzero f, with known irreducibles divided out first.
 
-    bases pairs monic irreducibles with their integer models.  Each is
-    divided out of f's integer model to full multiplicity (Gauss's lemma:
-    a primitive divisor in Q[t] divides in Z[t]), and only the cofactor
-    left over goes to poly_factor.  Factorization into monic irreducibles
-    is unique, so the result does not depend on which bases are given.
+    bases are monic irreducibles.  Each is divided out of f's integer
+    model to full multiplicity (Gauss's lemma: a primitive divisor in Q[t]
+    divides in Z[t]), and only a nonconstant cofactor left over goes to
+    poly_factor; a constant f has none.  Factorization into monic
+    irreducibles is unique, so the result does not depend on which bases
+    are given.
     """
     ns = _integer_model(f)[0]
     factors = []
-    for base, ps in bases:
-        exp, ns = _deflate(ps, ns)
+    for base in bases:
+        exp, ns = _deflate(_integer_model(base)[0], ns)
         if exp:
             factors.append((base, exp))
     if len(ns) > 1:

@@ -7,17 +7,13 @@ module evaluates in.  Places of higher degree still carry valuations and
 unit parts, but their residues live in a number field and are reported as
 polynomial representatives, never as rationals.
 
-Valuations and unit parts at a finite place of any degree come from one
-integer deflation of each polynomial: its integer model (coefficients
-times their common denominator D, as in ``Polynomial.__call__``) is
-divided in Z by the primitive model P = lead * pi of the place.  By
-Gauss's lemma P divides an integer polynomial in Q[t] exactly when it
-divides it in Z[t], so the first quotient step that is not integral ends
-the count.  The last quotient, times lead^v / D, is the unit part: at a
-rational place its value gives the residue, and above degree 1 it is
-reduced mod pi once, with the denominator's residue inverted as a
-rational when it is constant and by the extended gcd otherwise.  A
-residue is reduced only when it is asked for, and a valuation never is.
+At a finite place of any degree, the valuation and unit part of a
+function come from ``exactalg.deflate_at`` on its numerator and its
+denominator, once each: that is where the polynomials meet their integer
+models.  The valuation is the difference of the two counts.  A residue
+is reduced only when it is asked for, and a valuation never is; above
+degree 1 the denominator's residue is inverted as a rational when it is
+constant and by the extended gcd otherwise.
 """
 
 from __future__ import annotations
@@ -29,9 +25,8 @@ from ._valueclass import value_class
 from .exactalg import (
     Polynomial,
     RationalFunction,
-    _deflate,
     _frac,
-    _integer_model,
+    deflate_at,
     poly_extended_gcd,
     poly_factor,
 )
@@ -81,32 +76,13 @@ class Place:
     def sort_key(self) -> tuple:
         if self.pi is None:
             return (1,)
-        return (0, self.pi.degree, self.pi.coeffs)
+        return (0, self.pi.sort_key())
 
     def __str__(self) -> str:
         return "infinity" if self.pi is None else str(self.pi)
 
 
 INFINITY = Place.infinity()
-
-
-def _unit(pi: Polynomial, poly: Polynomial) -> tuple[int, _LazyResidue]:
-    """v, and on call w mod pi, for poly = pi^v * w with w = quot * lead^v / D."""
-    ps, lead = _integer_model(pi)
-    ns, den = _integer_model(poly)
-    v, quot = _deflate(ps, ns)
-
-    def reduced() -> Fraction | Polynomial:
-        if len(ps) > 2:
-            return Polynomial(quot) % pi * Fraction(lead**v, den)
-        # Horner over r and powers of s gives s^m * quot(r/s).
-        r, acc, s_pow = -ps[0], 0, 1
-        for c in reversed(quot):
-            acc = acc * r + c * s_pow
-            s_pow *= lead
-        return Fraction(acc * lead**v, den * lead ** (len(quot) - 1))
-
-    return v, reduced
 
 
 def _residue(place: Place, f: FieldElement) -> tuple[int, _LazyResidue]:
@@ -118,11 +94,11 @@ def _residue(place: Place, f: FieldElement) -> tuple[int, _LazyResidue]:
     """
     f = RationalFunction.coerce(f)
     if f.is_zero():
-        raise ValueError("the zero function has no unit part")
+        raise ValueError("the zero function has no valuation")
     if place.is_infinite:
         return f.den.degree - f.num.degree, lambda: f.num.leading() / f.den.leading()
-    vn, num = _unit(place.pi, f.num)
-    vd, den = _unit(place.pi, f.den)
+    vn, num = deflate_at(place.pi, f.num)
+    vd, den = deflate_at(place.pi, f.den)
     if place.degree == 1:
         return vn - vd, lambda: num() / den()
 
@@ -138,15 +114,7 @@ def _residue(place: Place, f: FieldElement) -> tuple[int, _LazyResidue]:
 
 def valuation(place: Place, f: FieldElement) -> int:
     """Order of vanishing of a nonzero f at the place."""
-    rf = RationalFunction.coerce(f)
-    if rf.is_zero():
-        raise ValueError("the zero function has no valuation")
-    if place.is_infinite:
-        return rf.den.degree - rf.num.degree
-    ps, _ = _integer_model(place.pi)
-    vn, _ = _deflate(ps, _integer_model(rf.num)[0])
-    vd, _ = _deflate(ps, _integer_model(rf.den)[0])
-    return vn - vd
+    return _residue(place, f)[0]
 
 
 @value_class

@@ -106,7 +106,7 @@ def class_of(f: FieldElement, mode: FieldMode) -> SquareClassVector:
     rf = _nonzero(f)
     if mode is FieldMode.RATIONALS_ONLY and not rf.is_constant():
         raise ValueError(f"{rf} is not a rational constant")
-    return class_from_factors(_factor(rf.num), _factor(rf.den), mode)
+    return class_from_factors(poly_factor(rf.num), poly_factor(rf.den), mode)
 
 
 def _nonzero(f: FieldElement) -> RationalFunction:
@@ -114,13 +114,6 @@ def _nonzero(f: FieldElement) -> RationalFunction:
     if rf.is_zero():
         raise ValueError("0 has no square class")
     return rf
-
-
-def _factor(poly: Polynomial) -> Factorization:
-    # A constant is its own unit; poly_factor is for the nonconstant rest.
-    if poly.degree == 0:
-        return Factorization(poly.leading(), ())
-    return poly_factor(poly)
 
 
 def class_from_factors(

@@ -10,7 +10,8 @@ primality was decided by trial division, and ((t+1)^30)^30 took 2.8 s to
 expand before the parser capped total degree.  Linear and quadratic
 factors with 13 to 19 digit coefficients did not finish in 8 s while
 every polynomial went through the rational root search, which
-enumerates the divisors of the end coefficients.
+enumerates the divisors of the end coefficients.  Parentheses nested 250
+deep ended in a RecursionError before the parser capped nesting.
 """
 
 import contextlib
@@ -160,6 +161,17 @@ def test_nested_power_over_the_degree_cap_is_usage_error():
         with contextlib.redirect_stderr(io.StringIO()):
             _cli("fibers", "--p", "((t+1)^30)^30", "--q", "t")
     assert exc.value.code == 2
+    assert budget.elapsed < 1.0
+
+
+def test_deep_nesting_is_usage_error():
+    err = io.StringIO()
+    deep = "(" * 250 + "t" + ")" * 250
+    with _Budget() as budget, pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stderr(err):
+            _cli("fibers", "--p", deep, "--q", "t+1")
+    assert exc.value.code == 2
+    assert "position 100: parentheses nested deeper than 100" in err.getvalue()
     assert budget.elapsed < 1.0
 
 

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from ellbrauer import elliptic, funcfield, pipeline, squareclass
-from ellbrauer.cli import ExpressionError, build_parser, main, parse_poly
+from ellbrauer import exactalg, pipeline
+from ellbrauer.cli import (
+    ExpressionError, _ExprParser, build_parser, main, parse_poly,
+)
 from ellbrauer.brauer import reference_curve
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
 from ellbrauer.residues import QtBrauerClass
@@ -71,13 +73,28 @@ class TestExpressionParser:
             # Digits are what int() reads: superscripts are not numbers.
             ("t^\u00b2", 2, "expected a number"),
             ("\u00b2", 0, "unexpected character '\u00b2'"),
+            # The 101st parenthesis is refused, in an expr and in a class
+            # literal, where the pair's own parenthesis is not an atom's.
+            pytest.param(
+                "(" * 250 + "t" + ")" * 250, 100, "nested deeper than 100",
+                id="expr-nested-250",
+            ),
+            pytest.param(
+                "(" + "(" * 250 + "t" + ")" * 250 + ", 2)", 101,
+                "nested deeper than 100", id="class-nested-250",
+            ),
         ],
     )
     def test_rejections_carry_positions(self, text, position, fragment):
+        # An expr never holds a comma, and a class literal always does.
+        production = _ExprParser._class if "," in text else _ExprParser._expr
         with pytest.raises(ExpressionError) as excinfo:
-            parse_poly(text)
+            _ExprParser(text).parse(production)
         assert excinfo.value.position == position
         assert fragment in str(excinfo.value)
+
+    def test_nesting_limit_is_inclusive(self):
+        assert parse_poly("(" * 100 + "t" + ")" * 100) == T
 
     def test_exponent_limit_is_inclusive(self):
         parse_poly("t^512")
@@ -733,17 +750,18 @@ FAILED: 1 check(s)
 
 
 def test_warm_verify_factors_no_constant(capsys, monkeypatch):
-    # The square class of a constant is read off the constant itself.
+    # The square class of a constant is read off the constant itself:
+    # poly_factor hands a constant back as its unit, so only nonconstant
+    # polynomials reach the factor search.
     assert run(capsys, "verify")[0] == 0
     degrees = []
-    original = elliptic.poly_factor
+    original = exactalg._factor_squarefree
 
-    def counting(f):
-        degrees.append(f.degree)
-        return original(f)
+    def counting(h):
+        degrees.append(h.degree)
+        return original(h)
 
-    for module in (elliptic, funcfield, squareclass):
-        monkeypatch.setattr(module, "poly_factor", counting)
+    monkeypatch.setattr(exactalg, "_factor_squarefree", counting)
     assert run(capsys, "verify")[0] == 0
     assert degrees
     assert 0 not in degrees

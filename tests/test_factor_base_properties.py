@@ -42,7 +42,7 @@ def curves_and_targets(draw):
     q = _product(draw(constants), draw(st.lists(factors, max_size=2)))
     hypothesis.assume(p != q)
     curve = WeierstrassCurve.from_split(p, q)
-    bases = [base for base, _ in factor_base(curve)]
+    bases = list(factor_base(curve))
     parts = []
     for _ in range(2):  # numerator, denominator
         powers = draw(

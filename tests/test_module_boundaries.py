@@ -1,0 +1,48 @@
+"""Only exactalg turns polynomials into integers.
+
+Integer models (``_integer_model``) and their deflation (``_deflate``)
+are defined in exactalg and used there alone.  Every other module
+reaches them through polynomials: ``deflate_at``, ``coefficient_bits``,
+``poly_factor`` and ``factor_over``, which divides known irreducibles
+out before the factor search.  A change to how a polynomial is stored
+then touches one module.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellbrauer"
+MODEL_NAMES = {"_integer_model", "_deflate"}
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names imported, read or looked up as attributes anywhere in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_integer_models_stay_in_exactalg():
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert "exactalg" in modules and "funcfield" in modules
+    assert MODEL_NAMES <= _defined(modules.pop("exactalg"))
+    leaks = {
+        name: sorted(MODEL_NAMES & (_defined(tree) | _referenced(tree)))
+        for name, tree in modules.items()
+    }
+    assert {name: found for name, found in leaks.items() if found} == {}
