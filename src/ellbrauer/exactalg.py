@@ -578,9 +578,10 @@ def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
     ns = _integer_model(f)[0]
     factors = []
     for base in bases:
-        exp, ns = _deflate(_integer_model(base)[0], ns)
-        if exp:
-            factors.append((base, exp))
+        if base.degree < len(ns):  # else base cannot divide what is left
+            exp, ns = _deflate(_integer_model(base)[0], ns)
+            if exp:
+                factors.append((base, exp))
     if len(ns) > 1:
         factors.extend(poly_factor(Polynomial(ns)).factors)
     factors.sort(key=lambda fe: fe[0].sort_key())
