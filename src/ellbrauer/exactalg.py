@@ -316,6 +316,10 @@ def deflate_at(
     residue is w(r) at pi = t - r, by Horner's rule on integers, and
     w mod pi above degree 1.
     """
+    if poly.degree < pi.degree:
+        # pi does not divide poly, which is already reduced mod pi.
+        residue = poly if pi.degree > 1 else poly.as_constant()
+        return 0, lambda: residue
     ps, lead = _integer_model(pi)
     ns, den = _integer_model(poly)
     v, quot = _deflate(ps, ns)

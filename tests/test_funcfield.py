@@ -250,12 +250,12 @@ class TestHigherDegreePlaces:
         monkeypatch.setattr(Polynomial, "__divmod__", traced_divmod)
         assert tame_symbol(place, f, g).kind is Verdict.UNDETERMINED
         # Only reductions mod pi divide.  v(f) = 3 is odd and v(g) = 0 even,
-        # so only g's residue is needed: its two deflated quotients are
-        # reduced, its constant denominator residue is inverted as a
-        # rational, and the symbols' product is reduced.
+        # so only g's residue is needed: its numerator's deflated quotient
+        # is reduced, its constant denominator is its own residue and is
+        # inverted as a rational, and the symbols' product is reduced.
         assert Counter(divided) == Counter(
             {
-                ("reduced", "t^2+1"): 2,
+                ("reduced", "t^2+1"): 1,
                 ("residue_of_class", "t^2+1"): 1,
             }
         )
@@ -268,8 +268,9 @@ class TestHigherDegreePlaces:
 
         monkeypatch.setattr(exactalg, "_deflate", counted_deflate)
         tame_symbol(place, f, g)
-        # numerator and denominator of each entry, once each
-        assert len(deflated) == 4
+        # the numerator of each entry, once each; a constant denominator
+        # is below the degree of pi and is not deflated
+        assert len(deflated) == 2
 
     def test_poles_and_zeros_at_a_cubic_place(self):
         pi = T**3 - 2
