@@ -8,8 +8,9 @@ is exact: no floats anywhere.
 Only this module turns polynomials into integers: integer models (the
 coefficients times their common denominator D, ``_integer_model``), the
 deflation of one model by another in Z (``_deflate``), and what is built
-on them: ``deflate_at`` (valuation and unit part at a finite place),
-``coefficient_bits`` and ``factor_over``.
+on them: ``valuation_at`` and ``deflate_at`` (valuation and unit part at
+a finite place), ``coefficient_bits``, ``poly_gcd``, ``poly_factor`` and
+``factor_over``.
 
 Evaluation at a rational a/b runs Horner's rule on integers: the
 coefficients are brought to their common denominator D and the powers of b
@@ -17,13 +18,16 @@ are carried along, so a single Fraction, the integer sum over D * b^deg,
 is normalised per call.  A rational function with a constant (hence unit) denominator
 is evaluated as its numerator.
 
-Factorization over Q proceeds by squarefree reduction, rational root
-extraction, and a divisor-interpolation search for factors of the
-rootless part; each factor's multiplicity is counted by deflating
-integer models.  The search is exhaustive, and its cost grows with the
-degree and with the divisors of the values it interpolates: it is meant
-for curve coefficient data of moderate degree.  Factoring t^511 - 1,
-as ``fibers --p t^512 --q t`` asks, does not finish.
+Factorization over Q works on the primitive integer model H of f.  The
+squarefree part is H / gcd(H, H') in Z[t], with the gcd from the
+primitive remainder sequence; its rational roots come from Hensel
+lifting the roots mod one small prime, in time polynomial in the
+coefficients' bits; and the rootless rest goes to the Kronecker split, a
+divisor-interpolation search.  Each factor's multiplicity is counted by
+deflating integer models.  The split is exhaustive, and its cost grows
+with the degree and with the divisors of the values it interpolates: it
+is meant for curve coefficient data of moderate degree.  Factoring
+t^511 - 1, as ``fibers --p t^512 --q t`` asks, does not finish.
 """
 
 from __future__ import annotations
@@ -257,6 +261,10 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
+# A residue at a finite place: in Q at degree 1, a polynomial mod pi above.
+_Residue = Union[Fraction, Polynomial]
+
+
 def _integer_model(poly: Polynomial) -> tuple[list[int], int]:
     """The coefficients of poly times their common denominator D, and D.
 
@@ -306,35 +314,49 @@ def _deflate(ps: list[int], ns: list[int]) -> tuple[int, list[int]]:
     return v, ns
 
 
+def valuation_at(pi: Polynomial, num: Polynomial, den: Polynomial) -> int:
+    """v(num) - v(den) at the monic nonconstant pi, for nonzero num, den."""
+    ps = _integer_model(pi)[0]
+    return _deflated(ps, num)[0] - _deflated(ps, den)[0]
+
+
 def deflate_at(
-    pi: Polynomial, poly: Polynomial
-) -> tuple[int, Callable[[], Fraction | Polynomial]]:
-    """v, and on call the residue of w, for nonzero poly = pi^v * w.
+    pi: Polynomial, num: Polynomial, den: Polynomial
+) -> tuple[int, Callable[[], tuple[_Residue, _Residue]]]:
+    """valuation_at(pi, num, den), and on call the residues of num and den.
 
-    pi is monic and nonconstant.  With integer models P = lead * pi and
-    N = D * poly, N = P^v * quot in Z[t], so w = quot * lead^v / D.  The
-    residue is w(r) at pi = t - r, by Horner's rule on integers, and
-    w mod pi above degree 1.
+    The residue of poly is that of w = poly * pi^-v(poly): w(r) at
+    pi = t - r, by Horner's rule on integers, and w mod pi above degree 1.
+    With integer models P = lead * pi, built once for both, and
+    N = D * poly = P^v * quot in Z[t], w = quot * lead^v / D.
     """
-    if poly.degree < pi.degree:
-        # pi does not divide poly, which is already reduced mod pi.
-        residue = poly if pi.degree > 1 else poly.as_constant()
-        return 0, lambda: residue
     ps, lead = _integer_model(pi)
-    ns, den = _integer_model(poly)
-    v, quot = _deflate(ps, ns)
+    nums, dens = ((poly, *_deflated(ps, poly)) for poly in (num, den))
 
-    def reduced() -> Fraction | Polynomial:
+    def reduced(poly: Polynomial, v: int, quot: list[int] | None, d: int) -> _Residue:
+        if quot is None:  # poly is already reduced mod pi
+            return poly if len(ps) > 2 else poly.as_constant()
         if len(ps) > 2:
-            return Polynomial(quot) % pi * Fraction(lead**v, den)
+            return Polynomial(quot) % pi * Fraction(lead**v, d)
         # Horner over r and powers of s gives s^m * quot(r/s).
         r, acc, s_pow = -ps[0], 0, 1
         for c in reversed(quot):
             acc = acc * r + c * s_pow
             s_pow *= lead
-        return Fraction(acc * lead**v, den * lead ** (len(quot) - 1))
+        return Fraction(acc * lead**v, d * lead ** (len(quot) - 1))
 
-    return v, reduced
+    return nums[1] - dens[1], lambda: (reduced(*nums), reduced(*dens))
+
+
+def _deflated(ps: list[int], poly: Polynomial) -> tuple[int, list[int] | None, int]:
+    """(v, quot, D) with D * poly = P^v * quot, P = ps primitive.
+
+    A poly of lower degree than P is not deflated: (0, None, 1).
+    """
+    if poly.degree < len(ps) - 1:
+        return 0, None, 1
+    ns, d = _integer_model(poly)
+    return (*_deflate(ps, ns), d)
 
 
 def coefficient_bits(f: Polynomial) -> int:
@@ -363,11 +385,57 @@ ONE = Polynomial((1,))
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd in Q[t]; gcd(0, 0) is 0."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd in Q[t]; gcd(0, 0) is 0.
+
+    Computed in Z[t] on the primitive integer models of f and g.
+    """
+    if f.is_zero() or g.is_zero():
+        h = g if f.is_zero() else f
+        return h.monic() if h else h
+    fs, gs = (_primitive(_integer_model(h)[0]) for h in (f, g))
+    return _monic(_integer_gcd(fs, gs))
+
+
+def _primitive(ns: list[int]) -> list[int]:
+    """Nonzero ns over the gcd of its coefficients, with a positive lead."""
+    c = gcd(*ns)
+    return [n // c for n in ns] if ns[-1] > 0 else [-n // c for n in ns]
+
+
+def _monic(ns: list[int]) -> Polynomial:
+    lead = ns[-1]
+    return Polynomial([Fraction(n, lead) for n in ns])
+
+
+def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd, with a positive lead, of primitive a and b in Z[t].
+
+    The primitive remainder sequence: (a, b) becomes (b, pp(r)), with r
+    a's remainder by b after scaling a by powers of b's lead, so no
+    quotient leaves Z.  Gauss's lemma keeps the gcd of the primitive
+    parts unchanged, and taking pp at each step keeps the coefficients
+    from growing (von zur Gathen & Gerhard, Modern Computer Algebra, 6.3).
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        d, lead = len(b) - 1, b[-1]
+        rem = list(a)
+        while len(rem) > d:
+            c = rem.pop()
+            if c:
+                g = gcd(c, lead)
+                scale, c, k = lead // g, c // g, len(rem) - d
+                if scale != 1:
+                    rem = [scale * n for n in rem]
+                for j in range(d):
+                    rem[k + j] -= c * b[j]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            return b
+        a, b = b, _primitive(rem)
+    return [1]
 
 
 def poly_extended_gcd(
@@ -558,15 +626,22 @@ class Factorization:
 
 
 def poly_factor(f: Polynomial) -> Factorization:
-    """Factor a nonzero polynomial into monic irreducibles over Q."""
+    """Factor a nonzero polynomial into monic irreducibles over Q.
+
+    On the primitive integer model H of f: the squarefree part
+    H / gcd(H, H') in Z[t], its rational roots by p-adic lifting, and the
+    Kronecker split for what has no rational root, which is slow at high
+    degree (t^511 - 1 does not finish).
+    """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree == 0:
         return Factorization(f.leading(), ())
-    m = f.monic()
-    # Every irreducible factor of f divides the radical, so no cofactor
-    # is left for factor_over to hand back.
-    return factor_over(f, _factor_squarefree(m // poly_gcd(m, m.derivative())))
+    hs = _primitive(_integer_model(f)[0])
+    g = _integer_gcd(hs, _primitive([i * c for i, c in enumerate(hs)][1:]))
+    # Every irreducible factor of f divides the radical hs / g, so no
+    # cofactor is left for factor_over to hand back.
+    return factor_over(f, _factor_squarefree(_exact_quotient(hs, g)))
 
 
 def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
@@ -592,48 +667,88 @@ def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
     return Factorization(f.leading(), tuple(factors))
 
 
-def _factor_squarefree(h: Polynomial) -> list[Polynomial]:
-    """Irreducible factors of a monic squarefree polynomial.
+def _exact_quotient(ns: list[int], ds: list[int]) -> list[int]:
+    """ns / ds in Z[t], for a primitive ds that divides ns."""
+    d, lead = len(ds) - 1, ds[-1]
+    rem, quot = list(ns), [0] * (len(ns) - d)
+    for i in range(len(ns) - 1, d - 1, -1):
+        q = quot[i - d] = rem[i] // lead
+        if q:
+            for j in range(d):
+                rem[i - d + j] -= q * ds[j]
+    return quot
 
-    Linear and quadratic h are settled without the rational root search,
-    whose divisor enumeration is exponential in the coefficients' size.
+
+def _factor_squarefree(hs: list[int]) -> list[Polynomial]:
+    """Monic irreducible factors of a primitive squarefree hs in Z[t].
+
+    Linear and quadratic hs are settled in closed form.  Above degree 2,
+    each candidate of ``_lifted_roots`` that deflates hs is a rational
+    root and is divided out, and the rootless rest goes to the Kronecker
+    split.
     """
-    if h.degree == 1:
-        return [h]
-    if h.degree == 2:
-        b, c = h.coeff(1), h.coeff(0)
-        d = b * b - 4 * c
-        if not rat_is_square(d):
-            return [h]
-        root_d = Fraction(isqrt(d.numerator), isqrt(d.denominator))
-        return [T - (-b - root_d) / 2, T - (-b + root_d) / 2]
-    out: list[Polynomial] = []
-    for r in _rational_roots(h):
-        out.append(T - r)
-        h = h // (T - r)
-    out.extend(_factor_rootless(h))
+    if len(hs) == 3:
+        c, b, a = hs
+        disc = b * b - 4 * a * c  # nonzero, as hs is squarefree
+        s = isqrt(disc) if disc > 0 else -1
+        if s * s == disc:
+            return [T - Fraction(-b - s, 2 * a), T - Fraction(-b + s, 2 * a)]
+    elif len(hs) > 3:
+        out: list[Polynomial] = []
+        for r in _lifted_roots(hs):
+            v, rest = _deflate([-r.numerator, r.denominator], hs)
+            if v:
+                out.append(T - r)
+                hs = rest
+        return out + _factor_rootless(_monic(hs))
+    return [_monic(hs)]
+
+
+def _lifted_roots(hs: list[int]) -> list[Fraction]:
+    """Candidates among which are all rational roots of a squarefree hs.
+
+    hs is primitive with a positive lead and degree at least 2.  A root
+    a/b in lowest terms has b | lead, and |a/b| is at most Cauchy's bound
+    1 + M/lead, M the largest other |coefficient|; so lead * a/b is an
+    integer of absolute value at most lead + M.  Take the least prime p
+    not dividing lead at which every root of hs mod p is simple.  a/b
+    reduces to one of those roots, and by Hensel's lemma it is the only
+    p-adic root above it.  Newton's iteration lifts each root mod p to a
+    modulus m > 2 (lead + M), and the residue of lead * x mod m nearest
+    zero is then lead * a/b (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 15.4).  The work is polynomial in the coefficients' bits.
+    """
+    lead = hs[-1]
+    bound = 2 * (lead + max(map(abs, hs[:-1])))
+    dhs = [i * c for i, c in enumerate(hs)][1:]
+    for p in _small_primes():
+        if lead % p:
+            roots = [x for x in range(p) if _eval_mod(hs, x, p) == 0]
+            if all(_eval_mod(dhs, x, p) for x in roots):
+                break
+    out = []
+    for x in roots:
+        m = p
+        while m <= bound:
+            m *= m
+            step = _eval_mod(hs, x, m) * pow(_eval_mod(dhs, x, m), -1, m)
+            x = (x - step) % m
+        c = lead * x % m
+        out.append(Fraction(c - m if 2 * c > m else c, lead))
     return out
 
 
-def _rational_roots(h: Polynomial) -> list[Fraction]:
-    """All rational roots of h, via the integer root bound on a primitive model."""
-    ints, _ = _integer_model(h)
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    trailing, leading = abs(ints[shift]), abs(ints[-1])
-    seen = set()
-    for a in _divisors(trailing):
-        for b in _divisors(leading):
-            if gcd(a, b) != 1:
-                continue
-            for cand in (Fraction(a, b), Fraction(-a, b)):
-                if cand not in seen:
-                    seen.add(cand)
-                    if h(cand) == 0:
-                        roots.append(cand)
-    return sorted(roots)
+def _eval_mod(cs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _small_primes() -> Iterator[int]:
+    for n in count(2):
+        if all(n % d for d in range(2, isqrt(n) + 1)):
+            yield n
 
 
 def _factor_rootless(h: Polynomial) -> list[Polynomial]:

@@ -8,12 +8,13 @@ unit parts, but their residues live in a number field and are reported as
 polynomial representatives, never as rationals.
 
 At a finite place of any degree, the valuation and unit part of a
-function come from ``exactalg.deflate_at`` on its numerator and its
-denominator, once each: that is where the polynomials meet their integer
-models.  The valuation is the difference of the two counts.  A residue
-is reduced only when it is asked for, and a valuation never is; above
-degree 1 the denominator's residue is inverted as a rational when it is
-constant and by the extended gcd otherwise.
+function come from one call of ``exactalg.deflate_at`` on its numerator
+and its denominator, and a valuation alone from ``exactalg.valuation_at``,
+which prepares no residue: that is where the polynomials meet their
+integer models.  The valuation is the difference of the two counts.  A
+residue is reduced only when it is asked for; above degree 1 the
+denominator's residue is inverted as a rational when it is constant and
+by the extended gcd otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .exactalg import (
     deflate_at,
     poly_extended_gcd,
     poly_factor,
+    valuation_at,
 )
 
 FieldElement = Union[Polynomial, RationalFunction, Fraction, int]
@@ -89,32 +91,39 @@ def _residue(place: Place, f: FieldElement) -> tuple[int, _LazyResidue]:
     """v, and on call the residue of f * pi^(-v), a Fraction at degree 1.
 
     Above degree 1 the residue is a polynomial mod pi.  The numerator and
-    the denominator are each deflated once here; nothing is reduced mod pi
+    the denominator are deflated by one call; nothing is reduced mod pi
     until the residue is asked for.
     """
+    f = _nonzero(f)
+    if place.is_infinite:
+        return f.den.degree - f.num.degree, lambda: f.num.leading() / f.den.leading()
+    v, residues = deflate_at(place.pi, f.num, f.den)
+
+    def residue() -> Fraction | Polynomial:
+        num, den = residues()
+        if place.degree == 1:
+            return num / den
+        if den.is_constant():
+            return num * (1 / den.as_constant())
+        _, inv, _ = poly_extended_gcd(den, place.pi)  # pi is irreducible
+        return num * inv % place.pi
+
+    return v, residue
+
+
+def _nonzero(f: FieldElement) -> RationalFunction:
     f = RationalFunction.coerce(f)
     if f.is_zero():
         raise ValueError("the zero function has no valuation")
-    if place.is_infinite:
-        return f.den.degree - f.num.degree, lambda: f.num.leading() / f.den.leading()
-    vn, num = deflate_at(place.pi, f.num)
-    vd, den = deflate_at(place.pi, f.den)
-    if place.degree == 1:
-        return vn - vd, lambda: num() / den()
-
-    def residue() -> Polynomial:
-        wd = den()
-        if wd.is_constant():
-            return num() * (1 / wd.as_constant())
-        _, inv, _ = poly_extended_gcd(wd, place.pi)  # pi is irreducible
-        return num() * inv % place.pi
-
-    return vn - vd, residue
+    return f
 
 
 def valuation(place: Place, f: FieldElement) -> int:
     """Order of vanishing of a nonzero f at the place."""
-    return _residue(place, f)[0]
+    f = _nonzero(f)
+    if place.is_infinite:
+        return f.den.degree - f.num.degree
+    return valuation_at(place.pi, f.num, f.den)
 
 
 @value_class

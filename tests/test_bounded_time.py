@@ -10,8 +10,10 @@ primality was decided by trial division, and ((t+1)^30)^30 took 2.8 s to
 expand before the parser capped total degree.  Linear and quadratic
 factors with 13 to 19 digit coefficients did not finish in 8 s while
 every polynomial went through the rational root search, which
-enumerates the divisors of the end coefficients.  Parentheses nested 250
-deep ended in a RecursionError before the parser capped nesting.
+enumerated the divisors of the end coefficients; cubics with such an end
+coefficient did not finish either until rational roots were found by
+p-adic lifting.  Parentheses nested 250 deep ended in a RecursionError
+before the parser capped nesting.
 """
 
 import contextlib
@@ -178,7 +180,8 @@ def test_deep_nesting_is_usage_error():
 # N = 1000000007 * 1000000009 = (10^9 + 8)^2 - 1 is not a square, and
 # 4N + 1 = (2*10^9 + 16)^2 - 3 is not either, so t^2 - N and t^2 - t - N
 # are irreducible.  The discriminant of (t - 2^40)(t - 2^41) - t is
-# (2^40 + 3)^2 - 8, again not a square.
+# (2^40 + 3)^2 - 8, again not a square.  The cubics have no rational
+# root (sympy agrees below), so they are irreducible too.
 N = 1000000007 * 1000000009
 
 
@@ -193,6 +196,10 @@ LOW_DEGREE = [
         [T - Fraction(2**40, 3), T + Fraction(7, 2**41)],
     ),
     (T - 2**60, [T - 2**60]),
+    (T**3 - N, [T**3 - N]),
+    (T**3 - T - N, [T**3 - T - N]),
+    (T**3 - Fraction(1, N), [T**3 - Fraction(1, N)]),
+    ((T - N) * (T**3 - T - N), [T - N, T**3 - T - N]),
 ]
 
 
@@ -280,6 +287,61 @@ def test_fibers_with_large_low_degree_factors(p, q, expected):
         code, lines = _cli("fibers", "--p", p, "--q", q)
     assert (code, lines) == (0, expected)
     assert budget.elapsed < 2.0
+
+
+# Each was killed after 8 s while the rational roots of a cubic were
+# searched among the divisors of both end coefficients, one of them N.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["fibers", "--p", "t^3 - 1000000007*1000000009", "--q", "t"],
+            [
+                "t : I_2",
+                "t^3-t-1000000016000000063 : I_2",
+                "t^3-1000000016000000063 : I_2",
+                "infinity : I_4*",
+                "euler number = 24",
+                "chi = 2",
+                "K3 = yes",
+                "rank upper bound = 17",
+                "Mordell-Weil rank bound = 3",
+                "semistable = no",
+            ],
+        ),
+        (
+            ["fibers", "--p", "1000000007*1000000009*t^3 - 1", "--q", "t"],
+            [
+                "t : I_2",
+                "t^3-1/1000000016000000063*t-1/1000000016000000063 : I_2",
+                "t^3-1/1000000016000000063 : I_2",
+                "infinity : I_4*",
+                "euler number = 24",
+                "chi = 2",
+                "K3 = yes",
+                "rank upper bound = 17",
+                "Mordell-Weil rank bound = 3",
+                "semistable = no",
+            ],
+        ),
+        (
+            ["transcendence", "--f", "t^3 - 1000000007*1000000009", "--g", "t"],
+            [
+                "target = ((t^3-1000000016000000063), t)",
+                "generator (p,0) = (t, (t-1) * t * (t+3))",
+                "generator (q,0) = ((t-3) * t * (t+1), t)",
+                "verdict = transcendental",
+                "reason = target lies outside the span of the torsion images",
+            ],
+        ),
+    ],
+    ids=["fibers-monic", "fibers-leading", "transcendence"],
+)
+def test_cubics_with_a_semiprime_end_coefficient(argv, expected):
+    with _Budget() as budget:
+        code, lines = _cli(*argv)
+    assert (code, lines) == (0, expected)
+    assert budget.elapsed < 1.0
 
 
 def test_residues_at_a_large_linear_place():

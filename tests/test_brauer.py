@@ -212,16 +212,20 @@ class TestLocalConstancy:
     l-adically close to it on the same fiber share their invariant.
 
     At (e, t0) with e = p(t0) or q(t0), a and b the other two roots of
-    x (x - p0) (x - q0) and c = (e - a)(e - b), the point x = e + c l^40
-    has y^2 = c^2 l^40 (1 + (e - a) l^40)(1 + (e - b) l^40), a square in
-    Q_l.  At x = e evaluation rewrites the vanishing coordinate x - p or
-    x - q, and away from it it does not, so this pins both rewrites.
+    x (x - p0) (x - q0) and c = (e - a)(e - b), the point x = e + c h
+    has y^2 = c^2 h (1 + (e - a) h)(1 + (e - b) h), a square in Q_l for
+    h = l^40, and in R for h = 10^-40.  At x = e evaluation rewrites the
+    vanishing coordinate x - p or x - q, and away from it it does not, so
+    this pins both rewrites.
     """
 
-    @pytest.mark.parametrize("prime", [3, 5, 7])
+    @pytest.mark.parametrize("prime", ["real", 2, 3, 5, 7])
     def test_two_torsion_points_agree_with_nearby_points(self, prime):
         cls, curve = reference_class(), reference_curve()
-        place = RationalPlace.prime(prime)
+        if prime == "real":
+            place, h = REAL, Fraction(1, 10**40)
+        else:
+            place, h = RationalPlace.prime(prime), Fraction(prime**40)
         checked = 0
         for t0 in sorted({Fraction(a, b) for a in range(-12, 13) for b in (1, 2, 3)}):
             p0, q0 = curve.split_p(t0), curve.split_q(t0)
@@ -232,7 +236,7 @@ class TestLocalConstancy:
                     at_e = evaluate_local(cls, SurfacePoint.affine(e, t0, place))
                 except DegeneratePointError:  # an entry vanishes at t0 = -1, 1
                     continue
-                near = SurfacePoint.affine(e + c * prime**40, t0, place)
+                near = SurfacePoint.affine(e + c * h, t0, place)
                 assert evaluate_local(cls, near) == at_e, (t0, e)
                 checked += 1
         # 53 parameters, two torsion points each, 8 of them degenerate

@@ -757,9 +757,10 @@ def test_warm_verify_factors_no_constant(capsys, monkeypatch):
     degrees = []
     original = exactalg._factor_squarefree
 
-    def counting(h):
-        degrees.append(h.degree)
-        return original(h)
+    def counting(model):
+        # the primitive integer model of the squarefree part, lowest first
+        degrees.append(len(model) - 1)
+        return original(model)
 
     monkeypatch.setattr(exactalg, "_factor_squarefree", counting)
     assert run(capsys, "verify")[0] == 0

@@ -2,9 +2,9 @@
 
 Integer models (``_integer_model``) and their deflation (``_deflate``)
 are defined in exactalg and used there alone.  Every other module
-reaches them through polynomials: ``deflate_at``, ``coefficient_bits``,
-``poly_factor`` and ``factor_over``, which divides known irreducibles
-out before the factor search.  A change to how a polynomial is stored
+reaches them through polynomials: ``valuation_at``, ``deflate_at``,
+``coefficient_bits``, ``poly_factor`` and ``factor_over``, which divides
+known irreducibles out before the factor search.  A change to how a polynomial is stored
 then touches one module.
 """
 
