@@ -8,9 +8,10 @@ is exact: no floats anywhere.
 Only this module turns polynomials into integers: integer models (the
 coefficients times their common denominator D, ``_integer_model``), the
 deflation of one model by another in Z (``_deflate``), and what is built
-on them: ``valuation_at`` and ``deflate_at`` (valuation and unit part at
-a finite place), ``coefficient_bits``, ``poly_gcd``, ``poly_factor`` and
-``factor_over``.
+on them: ``valuation_at`` and ``deflate_at`` (the valuation at a finite
+place, and with ``deflate_at`` the residue of the unit part, a Fraction
+at degree 1 and a polynomial of lower degree than the place above it),
+``coefficient_bits``, ``poly_gcd``, ``poly_factor`` and ``factor_over``.
 
 Evaluation at a rational a/b runs Horner's rule on integers: the
 coefficients are brought to their common denominator D and the powers of b
@@ -322,13 +323,15 @@ def valuation_at(pi: Polynomial, num: Polynomial, den: Polynomial) -> int:
 
 def deflate_at(
     pi: Polynomial, num: Polynomial, den: Polynomial
-) -> tuple[int, Callable[[], tuple[_Residue, _Residue]]]:
-    """valuation_at(pi, num, den), and on call the residues of num and den.
+) -> tuple[int, Callable[[], _Residue]]:
+    """v = valuation_at(pi, num, den), and on call the residue of num/den * pi^-v.
 
     The residue of poly is that of w = poly * pi^-v(poly): w(r) at
     pi = t - r, by Horner's rule on integers, and w mod pi above degree 1.
     With integer models P = lead * pi, built once for both, and
-    N = D * poly = P^v * quot in Z[t], w = quot * lead^v / D.
+    N = D * poly = P^v * quot in Z[t], w = quot * lead^v / D.  At degree 1
+    the two residues are divided; above it a constant denominator residue
+    is inverted as a rational, and any other by the extended gcd with pi.
     """
     ps, lead = _integer_model(pi)
     nums, dens = ((poly, *_deflated(ps, poly)) for poly in (num, den))
@@ -345,7 +348,16 @@ def deflate_at(
             s_pow *= lead
         return Fraction(acc * lead**v, d * lead ** (len(quot) - 1))
 
-    return nums[1] - dens[1], lambda: (reduced(*nums), reduced(*dens))
+    def residue() -> _Residue:
+        n, d = reduced(*nums), reduced(*dens)
+        if len(ps) == 2:
+            return n / d
+        if d.is_constant():
+            return n * (1 / d.as_constant())
+        _, inv, _ = poly_extended_gcd(d, pi)  # pi is irreducible
+        return n * inv % pi
+
+    return nums[1] - dens[1], residue
 
 
 def _deflated(ps: list[int], poly: Polynomial) -> tuple[int, list[int] | None, int]:
@@ -497,14 +509,6 @@ class RationalFunction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self.num.as_constant() / self.den.as_constant()
-
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
 
     def __bool__(self) -> bool:
         return not self.is_zero()

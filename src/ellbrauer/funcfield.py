@@ -1,20 +1,17 @@
-"""Places of the projective t-line over Q, valuations, and unit parts.
+"""Places of the projective t-line over Q, valuations, and residues.
 
 A finite place is a monic irreducible polynomial pi, with uniformizer pi
-itself; the place at infinity has uniformizer 1/t.  The residue field at a
-place of degree one is Q, and those are the only residue fields this
-module evaluates in.  Places of higher degree still carry valuations and
-unit parts, but their residues live in a number field and are reported as
-polynomial representatives, never as rationals.
+itself; the place at infinity has uniformizer 1/t.  ``residue`` gives the
+valuation v of a function and, on call, the residue of its unit part
+f * pi^(-v): a Fraction where the residue field is Q (degree 1 and
+infinity), and above degree 1 a polynomial of lower degree than pi that
+stands for an element of the number field Q[t]/(pi).
 
-At a finite place of any degree, the valuation and unit part of a
-function come from one call of ``exactalg.deflate_at`` on its numerator
-and its denominator, and a valuation alone from ``exactalg.valuation_at``,
-which prepares no residue: that is where the polynomials meet their
-integer models.  The valuation is the difference of the two counts.  A
-residue is reduced only when it is asked for; above degree 1 the
-denominator's residue is inverted as a rational when it is constant and
-by the extended gcd otherwise.
+At a finite place of any degree, the valuation and the residue come from
+one call of ``exactalg.deflate_at`` on the numerator and the denominator,
+and a valuation alone from ``exactalg.valuation_at``, which prepares no
+residue: that is where the polynomials meet their integer models.  A
+residue is reduced only when it is asked for.
 """
 
 from __future__ import annotations
@@ -28,18 +25,11 @@ from .exactalg import (
     RationalFunction,
     _frac,
     deflate_at,
-    poly_extended_gcd,
     poly_factor,
     valuation_at,
 )
 
 FieldElement = Union[Polynomial, RationalFunction, Fraction, int]
-# A residue computed only when called.
-_LazyResidue = Callable[[], Union[Fraction, Polynomial]]
-
-
-class UnsupportedResidueFieldError(ValueError):
-    """Raised when a rational residue is requested at a place of degree >= 2."""
 
 
 @value_class
@@ -87,30 +77,6 @@ class Place:
 INFINITY = Place.infinity()
 
 
-def _residue(place: Place, f: FieldElement) -> tuple[int, _LazyResidue]:
-    """v, and on call the residue of f * pi^(-v), a Fraction at degree 1.
-
-    Above degree 1 the residue is a polynomial mod pi.  The numerator and
-    the denominator are deflated by one call; nothing is reduced mod pi
-    until the residue is asked for.
-    """
-    f = _nonzero(f)
-    if place.is_infinite:
-        return f.den.degree - f.num.degree, lambda: f.num.leading() / f.den.leading()
-    v, residues = deflate_at(place.pi, f.num, f.den)
-
-    def residue() -> Fraction | Polynomial:
-        num, den = residues()
-        if place.degree == 1:
-            return num / den
-        if den.is_constant():
-            return num * (1 / den.as_constant())
-        _, inv, _ = poly_extended_gcd(den, place.pi)  # pi is irreducible
-        return num * inv % place.pi
-
-    return v, residue
-
-
 def _nonzero(f: FieldElement) -> RationalFunction:
     f = RationalFunction.coerce(f)
     if f.is_zero():
@@ -126,34 +92,19 @@ def valuation(place: Place, f: FieldElement) -> int:
     return valuation_at(place.pi, f.num, f.den)
 
 
-@value_class
-class UnitPart:
-    """Valuation v and the residue of f * pi^(-v) in the residue field Q."""
+def residue(
+    place: Place, f: FieldElement
+) -> tuple[int, Callable[[], Fraction | Polynomial]]:
+    """v = valuation(place, f), and a thunk for the residue of f * pi^(-v).
 
-    valuation: int
-    residue: Fraction
-
-
-def unit_part(place: Place, f: FieldElement) -> UnitPart:
-    """Valuation and rational residue of the unit part, at a degree-1 place."""
-    if place.degree != 1:
-        raise UnsupportedResidueFieldError(
-            f"residue field at {place} is a number field of degree "
-            f"{place.degree}, not Q"
-        )
-    v, residue = _residue(place, f)
-    return UnitPart(v, residue())
-
-
-def reduced_unit(place: Place, f: FieldElement) -> Polynomial:
-    """Residue of the unit part at a finite place, as a poly of degree < deg pi.
-
-    At a rational place this is the constant ``unit_part(place, f).residue``.
+    The thunk returns a Fraction at degree 1 and at infinity, and a
+    polynomial of degree < deg pi above degree 1.  Nothing is reduced
+    mod pi until it is called.
     """
+    f = _nonzero(f)
     if place.is_infinite:
-        raise ValueError("reduced_unit applies to finite places")
-    residue = _residue(place, f)[1]()
-    return residue if place.degree > 1 else Polynomial.constant(residue)
+        return f.den.degree - f.num.degree, lambda: f.num.leading() / f.den.leading()
+    return deflate_at(place.pi, f.num, f.den)
 
 
 def places_of_support(fs: Iterable[FieldElement]) -> list[Place]:

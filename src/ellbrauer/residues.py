@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from ._valueclass import value_class
 from .exactalg import ONE, RationalFunction, rat_is_square
-from .funcfield import Place, _residue, places_of_support
+from .funcfield import Place, places_of_support, residue
 from .squareclass import FieldMode, SquareClassVector, class_of
 
 Pair = tuple[RationalFunction, RationalFunction]
@@ -135,7 +135,7 @@ def residue_of_class(cls: QtBrauerClass, place: Place) -> ResidueVerdict:
     """
     residues = []
     for f, g in cls.symbols:
-        (vf, uf), (vg, ug) = _residue(place, f), _residue(place, g)
+        (vf, uf), (vg, ug) = residue(place, f), residue(place, g)
         vf, vg = vf % 2, vg % 2
         if vf or vg:
             # an entry's residue enters only where the other's valuation is odd

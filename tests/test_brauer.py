@@ -14,6 +14,7 @@ import pytest
 
 from ellbrauer import elliptic, funcfield, squareclass
 from ellbrauer.brauer import (
+    REFERENCE_PAIR,
     AdelicPointSpec,
     DegeneratePointError,
     SamplingReport,
@@ -241,6 +242,38 @@ class TestLocalConstancy:
                 checked += 1
         # 53 parameters, two torsion points each, 8 of them degenerate
         assert checked == 98
+
+
+class TestTranslationByTwoTorsion:
+    """Translation by a 2-torsion point changes ev_A by a class of the base.
+
+    On the fiber over t0, T = (e, 0) with e = p0 or q0 and o the other
+    nonzero root moves a point P with x0 != e (every sampled point) to
+    P + T, with x' = e + e (e - o) / (x0 - e).  For
+    A = (x - p, f) + (x - q, g) the difference tau*A - A comes from Q(t):
+    it is (p (p - q), f) + (p - q, g) for T = (p, 0) and
+    (q - p, f) + (q (q - p), g) for T = (q, 0).  So ev_A(P + T) - ev_A(P)
+    is a sum of two Hilbert symbols at t0 alone, whatever x0 is; the
+    points include 2-torsion ones, where evaluation rewrites a vanishing
+    coordinate.
+    """
+
+    @pytest.mark.parametrize("root", ["p", "q"])
+    @pytest.mark.parametrize("place", [REAL, TWO, THREE, FIVE], ids=str)
+    def test_invariant_moves_by_a_base_class(self, place, root):
+        cls, curve = reference_class(), reference_curve()
+        f, g = REFERENCE_PAIR
+        points = local_points(curve, place, 300, height=30)
+        assert len(points) == 300
+        for point in points:
+            t0, x0 = point.t0, point.x0
+            p0, q0 = curve.split_p(t0), curve.split_q(t0)
+            e, o = (p0, q0) if root == "p" else (q0, p0)
+            moved = SurfacePoint.affine(e + e * (e - o) / (x0 - e), t0, place)
+            a, b = (e * (e - o), e - o) if root == "p" else (e - o, e * (e - o))
+            base = hilbert_symbol(a, f(t0), place) * hilbert_symbol(b, g(t0), place)
+            shift = evaluate_local(cls, moved) - evaluate_local(cls, point)
+            assert shift % 1 == base.inv, (t0, x0)
 
 
 class TestReciprocity:

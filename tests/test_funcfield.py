@@ -1,4 +1,4 @@
-"""Places of Q(t), valuations, and unit parts."""
+"""Places of Q(t), valuations, and residues of unit parts."""
 
 import random
 import sys
@@ -14,10 +14,8 @@ from ellbrauer.exactalg import Polynomial, RationalFunction, T
 from ellbrauer.funcfield import (
     INFINITY,
     Place,
-    UnsupportedResidueFieldError,
     places_of_support,
-    reduced_unit,
-    unit_part,
+    residue,
     valuation,
 )
 from ellbrauer.residues import Verdict, check_unramified_P1, tame_symbol
@@ -108,39 +106,37 @@ class TestValuation:
             assert total == 0
 
 
+def _called(place, f):
+    """(v, residue) with the residue thunk called."""
+    v, thunk = residue(place, f)
+    return v, thunk()
+
+
 class TestUnitPart:
     def test_finite_residue(self):
         f = RationalFunction(T**3, T - 1)
-        u = unit_part(Place.finite(T), f)
-        assert u.valuation == 3
-        assert u.residue == -1
+        assert _called(Place.finite(T), f) == (3, -1)
 
     def test_infinite_residue_is_leading_ratio(self):
         f = RationalFunction(3 * T**2 + 1, 5 * T**3)
-        u = unit_part(INFINITY, f)
-        assert u.valuation == 1
-        assert u.residue == Fraction(3, 5)
-
-    def test_degree_two_place_unsupported(self):
-        with pytest.raises(UnsupportedResidueFieldError):
-            unit_part(Place.finite(T**2 + 1), RationalFunction(T))
+        assert _called(INFINITY, f) == (1, Fraction(3, 5))
 
     def test_reduced_unit_any_degree(self):
         place = Place.finite(T**2 + 1)
-        assert reduced_unit(place, RationalFunction(T**3 + 2)) == -T + 2
+        assert _called(place, RationalFunction(T**3 + 2)) == (0, -T + 2)
         # t^2 + 1 itself reduces to its unit cofactor: here exactly 1
-        assert reduced_unit(place, RationalFunction(T**2 + 1)) == Polynomial.constant(1)
+        assert _called(place, RationalFunction(T**2 + 1)) == (1, Polynomial.constant(1))
         # denominators are inverted modulo the place polynomial
-        got = reduced_unit(place, RationalFunction(1, T))
+        got = residue(place, RationalFunction(1, T))[1]()
         assert (got * T) % (T**2 + 1) == Polynomial.constant(1)
 
     def test_unit_part_matches_evaluation(self):
         place = Place.at_rational(2)
         f = RationalFunction((T - 2) ** 2 * (T + 1), T)
-        u = unit_part(place, f)
-        assert u.valuation == 2
+        v, u = _called(place, f)
+        assert v == 2
         g = f / RationalFunction((T - 2) ** 2)
-        assert u.residue == g(2)
+        assert u == g(2)
 
 
 class TestDegreeOnePlaces:
@@ -151,20 +147,15 @@ class TestDegreeOnePlaces:
         lin = T - a
         f = RationalFunction(lin**3 * (T + 2), 3 * (T - 1) * lin)
         place = Place.at_rational(a)
-        u = unit_part(place, f)
-        assert u.valuation == 2
-        assert u.residue == (a + 2) / (3 * (a - 1))
+        assert _called(place, f) == (2, (a + 2) / (3 * (a - 1)))
         assert valuation(place, f) == 2
-        assert reduced_unit(place, f) == Polynomial.constant(u.residue)
 
     def test_pole_with_scaled_numerator(self):
         # (2t - 1)^2 over the integers is 4 (t - 1/2)^2
         place = Place.at_rational(Fraction(1, 2))
         num = Polynomial((Fraction(5, 9), 0, Fraction(1, 9)))
         f = RationalFunction(num, (2 * T - 1) ** 2)
-        u = unit_part(place, f)
-        assert u.valuation == -2
-        assert u.residue == (Fraction(1, 4) + 5) / 9 / 4
+        assert _called(place, f) == (-2, (Fraction(1, 4) + 5) / 9 / 4)
 
     def test_non_integral_quotient_step_stops(self):
         # 3t^2 + t has the root 0 only; at 1/3 the first step is not integral
@@ -172,24 +163,24 @@ class TestDegreeOnePlaces:
         assert valuation(Place.at_rational(Fraction(1, 3)), f) == 0
         assert valuation(Place.at_rational(Fraction(-1, 3)), f) == 1
         third = Place.at_rational(Fraction(1, 3))
-        assert unit_part(third, f).residue == f(Fraction(1, 3))
+        assert _called(third, f) == (0, f(Fraction(1, 3)))
 
     def test_constants(self):
-        u = unit_part(Place.at_rational(4), RationalFunction(Fraction(-2, 7)))
-        assert (u.valuation, u.residue) == (0, Fraction(-2, 7))
+        got = _called(Place.at_rational(4), RationalFunction(Fraction(-2, 7)))
+        assert got == (0, Fraction(-2, 7))
 
     def test_verify_checks_count_valuations_without_fraction_division(
         self, monkeypatch
     ):
         seen = []
         plain_divmod = Polynomial.__divmod__
-        plain_gcd = funcfield.poly_extended_gcd
+        plain_gcd = exactalg.poly_extended_gcd
 
         def traced_divmod(self, other):
             # funcfield itself, or exactalg.deflate_at on its behalf
             frame = _caller(sys._getframe(1))
             if frame.f_globals["__name__"] == funcfield.__name__ or (
-                frame.f_code.co_name in ("deflate_at", "reduced")
+                frame.f_code.co_name in ("deflate_at", "reduced", "residue")
             ):
                 seen.append((frame.f_code.co_name, str(other)))
             return plain_divmod(self, other)
@@ -199,7 +190,7 @@ class TestDegreeOnePlaces:
             return plain_gcd(f, g)
 
         monkeypatch.setattr(Polynomial, "__divmod__", traced_divmod)
-        monkeypatch.setattr(funcfield, "poly_extended_gcd", counted_gcd)
+        monkeypatch.setattr(exactalg, "poly_extended_gcd", counted_gcd)
         surface = classify_surface(reference_curve())
         assert len(surface.fibers) == 6
         assert seen == []
@@ -219,18 +210,21 @@ class TestDegreeOnePlaces:
 
     def test_guard_sees_degree_two_places(self, monkeypatch):
         calls = []
-        plain_gcd = funcfield.poly_extended_gcd
+        plain_gcd = exactalg.poly_extended_gcd
 
         def counted_gcd(f, g):
             calls.append(g)
             return plain_gcd(f, g)
 
-        monkeypatch.setattr(funcfield, "poly_extended_gcd", counted_gcd)
+        monkeypatch.setattr(exactalg, "poly_extended_gcd", counted_gcd)
         place = Place.finite(T**2 + 1)
         # a constant denominator residue is inverted as a rational, so the
         # denominator here is not constant mod pi
         f = RationalFunction(T**3 + 2, T + 1)
-        assert reduced_unit(place, f) == Fraction(1, 2) - Fraction(3, 2) * T
+        v, thunk = residue(place, f)
+        # nothing is reduced or inverted until the residue is asked for
+        assert v == 0 and calls == []
+        assert thunk() == Fraction(1, 2) - Fraction(3, 2) * T
         assert calls == [T**2 + 1]
 
 
@@ -277,7 +271,7 @@ class TestHigherDegreePlaces:
         place = Place.finite(pi)
         f = RationalFunction(Fraction(3, 5) * pi**2 * (T + 1), pi**5 * (T**2 + 7))
         assert valuation(place, f) == -3
-        got = reduced_unit(place, f)
+        got = residue(place, f)[1]()
         assert got.degree < 3
         assert (got * (T**2 + 7)) % pi == (Fraction(3, 5) * (T + 1)) % pi
 

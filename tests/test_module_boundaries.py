@@ -6,6 +6,10 @@ reaches them through polynomials: ``valuation_at``, ``deflate_at``,
 ``coefficient_bits``, ``poly_factor`` and ``factor_over``, which divides
 known irreducibles out before the factor search.  A change to how a polynomial is stored
 then touches one module.
+
+Likewise every other module reaches places through funcfield's public
+names (``valuation``, ``residue``, ``places_of_support``), never through
+an underscore name of funcfield.
 """
 
 import ast
@@ -45,4 +49,28 @@ def test_integer_models_stay_in_exactalg():
         name: sorted(MODEL_NAMES & (_defined(tree) | _referenced(tree)))
         for name, tree in modules.items()
     }
+    assert {name: found for name, found in leaks.items() if found} == {}
+
+
+def _private_funcfield_names(tree: ast.AST) -> set[str]:
+    """Underscore names imported from funcfield or looked up on it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("funcfield"):
+            names.update(a.name for a in node.names if a.name.startswith("_"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "funcfield"
+            and node.attr.startswith("_")
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_reaches_into_funcfield():
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert "funcfield" in modules
+    del modules["funcfield"]
+    leaks = {name: sorted(_private_funcfield_names(tree)) for name, tree in modules.items()}
     assert {name: found for name, found in leaks.items() if found} == {}
