@@ -12,6 +12,12 @@ Exit codes:
     3   the method cannot decide (undetermined residue, unknown verdict,
         degenerate evaluation point)
 
+Each command returns its lines and exit code, and `main` alone prints.
+An error reaches its exit code through one table, `_EXITS`:
+DegeneratePointError exits 3 ("undetermined: ..." on stderr),
+ClassificationError 1, and SingularCurveError and
+argparse.ArgumentTypeError 2 ("error: ...").  Other exceptions propagate.
+
 Polynomial arguments use a small expression grammar over the variable t:
 
     expr    := ('+' | '-')? term (('+' | '-') term)*
@@ -45,6 +51,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -329,9 +336,8 @@ def _line(label: object, key: str, value: object, sep: str = " = ") -> Line:
     return f"{label}{sep}{value}", key, str(value)
 
 
-def _emit(fmt: str, lines: list[Line]) -> None:
-    for human, key, value in lines:
-        print(f"{key} = {value}" if fmt == "records" else human)
+# What a command hands to main: the lines to print and the exit code.
+Output = tuple[list[Line], int]
 
 
 def _curve_from_args(args: argparse.Namespace) -> WeierstrassCurve:
@@ -342,16 +348,8 @@ def _curve_from_args(args: argparse.Namespace) -> WeierstrassCurve:
     return WeierstrassCurve.from_split(args.p, args.q)
 
 
-def _cmd_fibers(args: argparse.Namespace) -> int:
-    try:
-        curve = _curve_from_args(args)
-        report = classify_surface(curve)
-    except (SingularCurveError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ClassificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+def _cmd_fibers(args: argparse.Namespace) -> Output:
+    report = classify_surface(_curve_from_args(args))
     lines = [
         _line(f.place, f"fiber.{f.place}", f.kodaira, " : ") for f in report.fibers
     ]
@@ -363,17 +361,14 @@ def _cmd_fibers(args: argparse.Namespace) -> int:
         _line("Mordell-Weil rank bound", "mw_rank_bound", report.mw_rank_bound),
         _line("semistable", "semistable", report.semistable),
     ]
-    _emit(args.format, lines)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def _cmd_residues(args: argparse.Namespace) -> int:
+def _cmd_residues(args: argparse.Namespace) -> Output:
     if args.class_literal is not None and args.symbol:
-        print(
-            "error: give either a class literal or --symbol flags, not both",
-            file=sys.stderr,
+        raise argparse.ArgumentTypeError(
+            "give either a class literal or --symbol flags, not both"
         )
-        return EXIT_USAGE
     if args.class_literal is not None:
         cls = QtBrauerClass(args.class_literal)
     elif args.symbol:
@@ -385,10 +380,9 @@ def _cmd_residues(args: argparse.Namespace) -> int:
     overall = report.overall
     shown = "undetermined" if overall is None else overall
     lines.append(_line("unramified over the projective line", "unramified", shown))
-    _emit(args.format, lines)
     if overall is None:
-        return EXIT_UNDETERMINED
-    return EXIT_OK if overall else EXIT_FAIL
+        return lines, EXIT_UNDETERMINED
+    return lines, EXIT_OK if overall else EXIT_FAIL
 
 
 _MODES = {
@@ -397,7 +391,7 @@ _MODES = {
 }
 
 
-def _cmd_descent(args: argparse.Namespace) -> int:
+def _cmd_descent(args: argparse.Namespace) -> Output:
     curve = reference_curve()
     mode = _MODES[args.mode]
     lines = []
@@ -407,11 +401,10 @@ def _cmd_descent(args: argparse.Namespace) -> int:
         lines.append(_line(label, f"image.{key}", images[key], " : "))
     indep = independent([images["p"].as_tuple(), images["q"].as_tuple()])
     lines.append(_line("images of (p,0) and (q,0) independent", "independent", indep))
-    _emit(args.format, lines)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def _cmd_transcendence(args: argparse.Namespace) -> int:
+def _cmd_transcendence(args: argparse.Namespace) -> Output:
     curve = reference_curve()
     result = transcendence_test(args.f, args.g, curve, args.mw_rank_bound)
     lines = [
@@ -424,24 +417,21 @@ def _cmd_transcendence(args: argparse.Namespace) -> int:
         lines.append(_line("combination", "combination", result.combination))
     if result.reason:
         lines.append(_line("reason", "reason", result.reason))
-    _emit(args.format, lines)
     if result.verdict is TranscendenceVerdict.TRANSCENDENTAL:
-        return EXIT_OK
+        return lines, EXIT_OK
     if result.verdict is TranscendenceVerdict.ALGEBRAIC_OVER_C:
-        return EXIT_FAIL
-    return EXIT_UNDETERMINED
+        return lines, EXIT_FAIL
+    return lines, EXIT_UNDETERMINED
 
 
-def _cmd_hilbert(args: argparse.Namespace) -> int:
+def _cmd_hilbert(args: argparse.Namespace) -> Output:
     try:
         value = hilbert_symbol(args.a, args.b, args.place)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # a zero argument
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     label = f"({args.a}, {args.b})_{args.place}"
     lines = [_line(label, "symbol", value), _line("invariant", "invariant", value.inv)]
-    _emit(args.format, lines)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
 def _point_from_args(
@@ -450,58 +440,41 @@ def _point_from_args(
     """The point of --x, --t, --place and --zero-section; x, t are defaults."""
     if args.zero_section:
         if args.x is not None or args.t is not None:
-            raise argparse.ArgumentTypeError(
-                "--zero-section excludes --x and --t"
-            )
+            raise argparse.ArgumentTypeError("--zero-section excludes --x and --t")
         return SurfacePoint.zero_section(args.place)
     x = x if args.x is None else args.x
     t = t if args.t is None else args.t
     if x is None or t is None:
-        raise argparse.ArgumentTypeError(
-            "an affine point needs both --x and --t"
-        )
+        raise argparse.ArgumentTypeError("an affine point needs both --x and --t")
     return SurfacePoint.affine(x, t, args.place)
 
 
-# evaluate_local raises a plain ValueError only for a point off the surface.
-_OFF_SURFACE = "error: {} is not on the surface over its completion"
+@contextmanager
+def _on_surface(point: SurfacePoint):
+    """A point off the surface (evaluate_local's plain ValueError) exits 2."""
+    try:
+        yield
+    except DegeneratePointError:
+        raise
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{point} is not on the surface over its completion"
+        ) from exc
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cls = reference_class()
-    try:
-        point = _point_from_args(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        inv = evaluate_local(cls, point)
-    except DegeneratePointError as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
-    except ValueError:
-        print(_OFF_SURFACE.format(point), file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_evaluate(args: argparse.Namespace) -> Output:
+    point = _point_from_args(args)
+    with _on_surface(point):
+        inv = evaluate_local(reference_class(), point)
     lines = [_line("point", "point", point), _line("invariant", "invariant", inv)]
-    _emit(args.format, lines)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def _cmd_obstruct(args: argparse.Namespace) -> int:
-    try:
-        point = _point_from_args(args, Fraction(1), Fraction(2))
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_obstruct(args: argparse.Namespace) -> Output:
+    point = _point_from_args(args, Fraction(1), Fraction(2))
     spec = AdelicPointSpec(() if point.at_zero_section else (point,))
-    try:
+    with _on_surface(point):
         report = adelic_pairing(reference_class(), spec)
-    except DegeneratePointError as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
-    except ValueError:
-        print(_OFF_SURFACE.format(spec.overrides[0]), file=sys.stderr)
-        return EXIT_USAGE
     lines = [
         _line(f"invariant at {place}", f"invariant.{place}", inv)
         for place, inv in report.evaluations
@@ -511,11 +484,10 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
         _line("total", "total", report.total),
         _line("obstructed", "obstructed", report.obstructed),
     ]
-    _emit(args.format, lines)
-    return EXIT_OK if report.obstructed else EXIT_FAIL
+    return lines, EXIT_OK if report.obstructed else EXIT_FAIL
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     checks = reference_checks(args.sample_places, args.samples, args.height)
     verbose = bool(os.environ.get("ELLBRAUER_VERBOSE", "").strip())
     lines: list[Line] = []
@@ -540,8 +512,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines.append((f"FAILED: {failures} check(s)", "result", "fail"))
     else:
         lines.append(("ALL CHECKS PASS", "result", "pass"))
-    _emit(args.format, lines)
-    return EXIT_FAIL if failures else EXIT_OK
+    return lines, EXIT_FAIL if failures else EXIT_OK
 
 
 def _sample_place_list(text: str) -> list[RationalPlace]:
@@ -710,10 +681,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exceptions main turns into an exit code, with the prefix of the
+# stderr line; a subclass takes the row of its nearest listed ancestor.
+_EXITS: dict[type[Exception], tuple[str, int]] = {
+    DegeneratePointError: ("undetermined", EXIT_UNDETERMINED),
+    ClassificationError: ("error", EXIT_FAIL),
+    SingularCurveError: ("error", EXIT_USAGE),
+    argparse.ArgumentTypeError: ("error", EXIT_USAGE),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = build_parser().parse_args(argv)
+    try:
+        lines, code = args.handler(args)
+    except tuple(_EXITS) as exc:
+        prefix, code = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    for human, key, value in lines:
+        print(f"{key} = {value}" if args.format == "records" else human)
+    return code
 
 
 if __name__ == "__main__":

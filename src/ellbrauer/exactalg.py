@@ -6,11 +6,11 @@ functions are reduced quotients with a monic denominator.  Everything here
 is exact: no floats anywhere.
 
 Only this module turns polynomials into integers: integer models (the
-coefficients times their common denominator D, ``_integer_model``), the
-deflation of one model by another in Z (``_deflate``), and what is built
-on them: ``valuation_at`` and ``deflate_at`` (the valuation at a finite
-place, and with ``deflate_at`` the residue of the unit part, a Fraction
-at degree 1 and a polynomial of lower degree than the place above it),
+coefficients times their common denominator D, ``_integer_model``), one
+exact division in Z[t] (``_divide``) and the deflation that repeats it
+(``_deflate``), and what is built on them: ``deflate_at`` (the valuation
+at a finite place, and the residue of the unit part, a Fraction at
+degree 1 and a polynomial of lower degree than the place above it),
 ``coefficient_bits``, ``poly_gcd``, ``poly_factor`` and ``factor_over``.
 
 Evaluation at a rational a/b runs Horner's rule on integers: the
@@ -27,8 +27,10 @@ coefficients' bits; and the rootless rest goes to the Kronecker split, a
 divisor-interpolation search.  Each factor's multiplicity is counted by
 deflating integer models.  The split is exhaustive, and its cost grows
 with the degree and with the divisors of the values it interpolates: it
-is meant for curve coefficient data of moderate degree.  Factoring
-t^511 - 1, as ``fibers --p t^512 --q t`` asks, does not finish.
+is meant for curve coefficient data of moderate degree.  Three inputs
+show the limit: t^511 - 1 (``fibers --p t^512 --q t``) and t^24 - 1
+(``fibers --p t^24 --q 1``) do not finish in 10 s, and the degree-7
+product (t^2-20t+27)(2t^2-t+23)(5t^3+20t^2-8t+17) takes 7-8 s.
 """
 
 from __future__ import annotations
@@ -278,60 +280,59 @@ def _integer_model(poly: Polynomial) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _deflate(ps: list[int], ns: list[int]) -> tuple[int, list[int]]:
-    """(v, quot) with ns = P^v * quot in Z[t] and P not dividing quot.
+def _divide(ns: list[int], ps: list[int]) -> list[int] | None:
+    """ns / P in Z[t] when P = ps divides nonzero ns, else None.
 
-    P = ps is primitive of degree d >= 1 and ns is nonzero.  Each pass
-    divides from the top down and stops at the first quotient coefficient
-    that is not an integer (Gauss's lemma) or at a nonzero remainder.  At
-    degree 1, P = s*t - r, the next quotient coefficient is (n_i + r*q) / s;
-    above it, each quotient coefficient updates d remainder coefficients.
+    P is primitive, so by Gauss's lemma it divides in Z[t] when it does in
+    Q[t].  The division runs from the top down and stops at the first
+    quotient coefficient that is not an integer or at a nonzero remainder.
+    At degree 1, P = s*t - r, the next quotient coefficient is
+    (n_i + r*q) / s; above it, each one updates d remainder coefficients.
     """
-    d, lead, r = len(ps) - 1, ps[-1], -ps[0]
+    d, lead = len(ps) - 1, ps[-1]
+    quot = [0] * (len(ns) - d)
+    if d == 1:
+        r, q = -ps[0], 0
+        for i in range(len(ns) - 1, 0, -1):
+            q, rem = divmod(ns[i] + r * q, lead)
+            if rem:
+                return None
+            quot[i - 1] = q
+        return None if ns[0] + r * q else quot
+    rem = list(ns)
+    for i in range(len(ns) - 1, d - 1, -1):
+        q, m = divmod(rem[i], lead)
+        if m:
+            return None
+        quot[i - d] = q
+        for j in range(d):
+            rem[i - d + j] -= q * ps[j]
+    return None if any(rem[:d]) else quot
+
+
+def _deflate(ps: list[int], ns: list[int]) -> tuple[int, list[int]]:
+    """(v, quot) with ns = P^v * quot in Z[t] and P = ps not dividing quot.
+
+    P is primitive of degree d >= 1 and ns is nonzero.
+    """
     v = 0
-    while len(ns) > d:
-        quot = [0] * (len(ns) - d)
-        if d == 1:
-            q = 0
-            for i in range(len(ns) - 1, 0, -1):
-                q, rem = divmod(ns[i] + r * q, lead)
-                if rem:
-                    return v, ns
-                quot[i - 1] = q
-            if ns[0] + r * q:
-                return v, ns
-        else:
-            rem = list(ns)
-            for i in range(len(ns) - 1, d - 1, -1):
-                q, m = divmod(rem[i], lead)
-                if m:
-                    return v, ns
-                quot[i - d] = q
-                for j in range(d):
-                    rem[i - d + j] -= q * ps[j]
-            if any(rem[:d]):
-                return v, ns
+    while (quot := _divide(ns, ps)) is not None:
         ns, v = quot, v + 1
     return v, ns
-
-
-def valuation_at(pi: Polynomial, num: Polynomial, den: Polynomial) -> int:
-    """v(num) - v(den) at the monic nonconstant pi, for nonzero num, den."""
-    ps = _integer_model(pi)[0]
-    return _deflated(ps, num)[0] - _deflated(ps, den)[0]
 
 
 def deflate_at(
     pi: Polynomial, num: Polynomial, den: Polynomial
 ) -> tuple[int, Callable[[], _Residue]]:
-    """v = valuation_at(pi, num, den), and on call the residue of num/den * pi^-v.
+    """v = v(num) - v(den) at pi, and on call the residue of num/den * pi^-v.
 
-    The residue of poly is that of w = poly * pi^-v(poly): w(r) at
-    pi = t - r, by Horner's rule on integers, and w mod pi above degree 1.
-    With integer models P = lead * pi, built once for both, and
-    N = D * poly = P^v * quot in Z[t], w = quot * lead^v / D.  At degree 1
-    the two residues are divided; above it a constant denominator residue
-    is inverted as a rational, and any other by the extended gcd with pi.
+    pi is monic and nonconstant, num and den nonzero.  The residue of poly
+    is that of w = poly * pi^-v(poly): w(r) at pi = t - r, by Horner's
+    rule on integers, and w mod pi above degree 1.  With integer models
+    P = lead * pi, built once for both, and N = D * poly = P^v * quot in
+    Z[t], w = quot * lead^v / D.  At degree 1 the two residues are
+    divided; above it a constant denominator residue is inverted as a
+    rational, and any other by the extended gcd with pi.
     """
     ps, lead = _integer_model(pi)
     nums, dens = ((poly, *_deflated(ps, poly)) for poly in (num, den))
@@ -645,7 +646,7 @@ def poly_factor(f: Polynomial) -> Factorization:
     g = _integer_gcd(hs, _primitive([i * c for i, c in enumerate(hs)][1:]))
     # Every irreducible factor of f divides the radical hs / g, so no
     # cofactor is left for factor_over to hand back.
-    return factor_over(f, _factor_squarefree(_exact_quotient(hs, g)))
+    return factor_over(f, _factor_squarefree(_divide(hs, g)))
 
 
 def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
@@ -671,23 +672,11 @@ def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
     return Factorization(f.leading(), tuple(factors))
 
 
-def _exact_quotient(ns: list[int], ds: list[int]) -> list[int]:
-    """ns / ds in Z[t], for a primitive ds that divides ns."""
-    d, lead = len(ds) - 1, ds[-1]
-    rem, quot = list(ns), [0] * (len(ns) - d)
-    for i in range(len(ns) - 1, d - 1, -1):
-        q = quot[i - d] = rem[i] // lead
-        if q:
-            for j in range(d):
-                rem[i - d + j] -= q * ds[j]
-    return quot
-
-
 def _factor_squarefree(hs: list[int]) -> list[Polynomial]:
     """Monic irreducible factors of a primitive squarefree hs in Z[t].
 
     Linear and quadratic hs are settled in closed form.  Above degree 2,
-    each candidate of ``_lifted_roots`` that deflates hs is a rational
+    each candidate of ``_lifted_roots`` that divides hs is a rational
     root and is divided out, and the rootless rest goes to the Kronecker
     split.
     """
@@ -700,8 +689,8 @@ def _factor_squarefree(hs: list[int]) -> list[Polynomial]:
     elif len(hs) > 3:
         out: list[Polynomial] = []
         for r in _lifted_roots(hs):
-            v, rest = _deflate([-r.numerator, r.denominator], hs)
-            if v:
+            rest = _divide(hs, [-r.numerator, r.denominator])
+            if rest is not None:
                 out.append(T - r)
                 hs = rest
         return out + _factor_rootless(_monic(hs))

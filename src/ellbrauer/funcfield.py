@@ -8,10 +8,10 @@ infinity), and above degree 1 a polynomial of lower degree than pi that
 stands for an element of the number field Q[t]/(pi).
 
 At a finite place of any degree, the valuation and the residue come from
-one call of ``exactalg.deflate_at`` on the numerator and the denominator,
-and a valuation alone from ``exactalg.valuation_at``, which prepares no
-residue: that is where the polynomials meet their integer models.  A
-residue is reduced only when it is asked for.
+one call of ``exactalg.deflate_at`` on the numerator and the denominator:
+that is where the polynomials meet their integer models.  ``valuation``
+is the first half of ``residue``, and a residue is reduced only when it
+is asked for.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .exactalg import (
     _frac,
     deflate_at,
     poly_factor,
-    valuation_at,
 )
 
 FieldElement = Union[Polynomial, RationalFunction, Fraction, int]
@@ -77,31 +76,24 @@ class Place:
 INFINITY = Place.infinity()
 
 
-def _nonzero(f: FieldElement) -> RationalFunction:
-    f = RationalFunction.coerce(f)
-    if f.is_zero():
-        raise ValueError("the zero function has no valuation")
-    return f
-
-
 def valuation(place: Place, f: FieldElement) -> int:
     """Order of vanishing of a nonzero f at the place."""
-    f = _nonzero(f)
-    if place.is_infinite:
-        return f.den.degree - f.num.degree
-    return valuation_at(place.pi, f.num, f.den)
+    return residue(place, f)[0]
 
 
 def residue(
     place: Place, f: FieldElement
 ) -> tuple[int, Callable[[], Fraction | Polynomial]]:
-    """v = valuation(place, f), and a thunk for the residue of f * pi^(-v).
+    """The valuation v of a nonzero f at the place, and a thunk for the
+    residue of f * pi^(-v).
 
     The thunk returns a Fraction at degree 1 and at infinity, and a
     polynomial of degree < deg pi above degree 1.  Nothing is reduced
     mod pi until it is called.
     """
-    f = _nonzero(f)
+    f = RationalFunction.coerce(f)
+    if f.is_zero():
+        raise ValueError("the zero function has no valuation")
     if place.is_infinite:
         return f.den.degree - f.num.degree, lambda: f.num.leading() / f.den.leading()
     return deflate_at(place.pi, f.num, f.den)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ellbrauer import exactalg, pipeline
+from ellbrauer import cli, exactalg, pipeline
 from ellbrauer.cli import (
     ExpressionError, _ExprParser, build_parser, main, parse_poly,
 )
@@ -849,6 +849,17 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_error_outside_the_exit_table_propagates(self, capsys, monkeypatch):
+        # main's exit table has no ValueError row: a plain ValueError is a
+        # fault to surface, not a usage error to report.
+        def failing(curve):
+            raise ValueError("not in the exit table")
+
+        monkeypatch.setattr(cli, "classify_surface", failing)
+        with pytest.raises(ValueError, match="not in the exit table"):
+            main(["fibers"])
+        assert capsys.readouterr() == ("", "")
 
 
 # Every subcommand, its success paths and the error paths the handlers

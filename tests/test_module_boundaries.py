@@ -1,22 +1,26 @@
-"""Only exactalg turns polynomials into integers.
+"""Only exactalg turns polynomials into integers, and only cli.main prints.
 
-Integer models (``_integer_model``) and their deflation (``_deflate``)
-are defined in exactalg and used there alone.  Every other module
-reaches them through polynomials: ``valuation_at``, ``deflate_at``,
-``coefficient_bits``, ``poly_factor`` and ``factor_over``, which divides
-known irreducibles out before the factor search.  A change to how a polynomial is stored
-then touches one module.
+Integer models (``_integer_model``), their exact division (``_divide``)
+and the deflation that repeats it (``_deflate``) are defined in exactalg
+and used there alone.  Every other module reaches them through
+polynomials: ``deflate_at``, ``coefficient_bits``, ``poly_factor`` and
+``factor_over``, which divides known irreducibles out before the factor
+search.  A change to how a polynomial is stored then touches one module.
 
 Likewise every other module reaches places through funcfield's public
 names (``valuation``, ``residue``, ``places_of_support``), never through
 an underscore name of funcfield.
+
+The package calls ``print`` in one place: each CLI command returns its
+lines and exit code, and ``cli.main`` prints them, or for an error the
+line of its exit table.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellbrauer"
-MODEL_NAMES = {"_integer_model", "_deflate"}
+MODEL_NAMES = {"_integer_model", "_divide", "_deflate"}
 
 
 def _defined(tree: ast.AST) -> set[str]:
@@ -74,3 +78,34 @@ def test_no_module_reaches_into_funcfield():
     del modules["funcfield"]
     leaks = {name: sorted(_private_funcfield_names(tree)) for name, tree in modules.items()}
     assert {name: found for name, found in leaks.items() if found} == {}
+
+
+def _print_callers(tree: ast.AST) -> set[str]:
+    """Qualified names of the functions that call print; "" for module level."""
+    callers = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "print"
+            ):
+                callers.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return callers
+
+
+def test_only_cli_main_prints():
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    callers = {
+        f"{name}.{scope}"
+        for name, tree in modules.items()
+        for scope in _print_callers(tree)
+    }
+    assert callers == {"cli.main"}
