@@ -30,19 +30,22 @@ class ClassificationError(ValueError):
     """Raised when valuation data falls outside the fiber type table."""
 
 
+_ZERO = RationalFunction(0)
+
+
 class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
 
     __slots__ = (
-        "a1", "a2", "a3", "a4", "a6", "split_p", "split_q", "split_p_minus_q",
+        "a1", "_a2", "a3", "_a4", "a6", "split_p", "split_q", "split_p_minus_q",
         "_inv", "_excluded", "_factors", "_base",
     )
 
     def __init__(self, a1, a2, a3, a4, a6) -> None:
         self.a1 = RationalFunction.coerce(a1)
-        self.a2 = RationalFunction.coerce(a2)
+        self._a2: RationalFunction | None = RationalFunction.coerce(a2)
         self.a3 = RationalFunction.coerce(a3)
-        self.a4 = RationalFunction.coerce(a4)
+        self._a4: RationalFunction | None = RationalFunction.coerce(a4)
         self.a6 = RationalFunction.coerce(a6)
         self.split_p: RationalFunction | None = None
         self.split_q: RationalFunction | None = None
@@ -58,9 +61,17 @@ class WeierstrassCurve:
 
     @staticmethod
     def from_split(p, q) -> "WeierstrassCurve":
-        """The curve y^2 = x (x - p) (x - q)."""
+        """The curve y^2 = x (x - p) (x - q).
+
+        p, q and p - q are formed here.  a2 = -(p + q) and a4 = p q are
+        formed on the first call of coefficients(), which a2, a4,
+        invariants, minimalize_at, == and hash all make; descent images
+        and the transcendence test read p, q and p - q alone, so on their
+        curves p is never multiplied by q.
+        """
         p, q = RationalFunction.coerce(p), RationalFunction.coerce(q)
-        curve = WeierstrassCurve(0, -(p + q), 0, p * q, 0)
+        curve = WeierstrassCurve(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+        curve._a2 = curve._a4 = None
         curve.split_p = p
         curve.split_q = q
         curve.split_p_minus_q = p - q
@@ -71,7 +82,18 @@ class WeierstrassCurve:
         return self.split_p is not None
 
     def coefficients(self) -> tuple[RationalFunction, ...]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        if self._a2 is None:  # a split curve, on first use
+            p, q = self.split_p, self.split_q
+            self._a2, self._a4 = -(p + q), p * q
+        return (self.a1, self._a2, self.a3, self._a4, self.a6)
+
+    @property
+    def a2(self) -> RationalFunction:
+        return self.coefficients()[1]
+
+    @property
+    def a4(self) -> RationalFunction:
+        return self.coefficients()[3]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeierstrassCurve):

@@ -1,9 +1,15 @@
 """Exact arithmetic over Q and Q[t], and the integer models behind it.
 
 Polynomials are dense tuples of Fraction coefficients, lowest degree first,
-with no trailing zeros, so equality and hashing are structural.  Rational
-functions are reduced quotients with a monic denominator.  Everything here
-is exact: no floats anywhere.
+with no trailing zeros, so equality is structural; a polynomial equals the
+scalar it is constant at, and its hash is computed once and agrees with
+scalar equality (a constant hashes as its constant, zero as 0).  Rational
+functions are reduced quotients with a monic denominator, and one with
+denominator 1 hashes as its numerator.  Two rational functions with the
+same denominator are added and subtracted over it, (n + n') / d, with no
+cross-multiplication; the product of a polynomial with the constant 1 is
+the other factor itself, so unit denominators cost no multiplication.
+Everything here is exact: no floats anywhere.
 
 Only this module turns polynomials into integers: integer models (the
 coefficients times their common denominator D, ``_integer_model``), one
@@ -56,7 +62,7 @@ def _frac(x: Scalar) -> Fraction:
 class Polynomial:
     """Univariate polynomial over Q in the variable t."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: Sequence[Scalar] = ()) -> None:
         cs = [_frac(c) for c in coeffs]
@@ -117,7 +123,15 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Polynomial", self._coeffs))
+        # Polynomials are immutable, so the hash is computed on first use
+        # and kept; the slot stays unset until then.  A constant equals its
+        # value, so it hashes as that value.
+        try:
+            return self._hash
+        except AttributeError:
+            cs = self._coeffs
+            self._hash = hash(cs) if len(cs) > 1 else hash(self.as_constant())
+            return self._hash
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self._coeffs))
@@ -155,6 +169,10 @@ class Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial()
         a, b = self._coeffs, other._coeffs
+        if len(a) == 1 and a[0] == 1:
+            return other
+        if len(b) == 1 and b[0] == 1:
+            return self
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -521,7 +539,11 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.num, self.den))
+        # A unit denominator is the only constant one, and then self
+        # equals its numerator.
+        if self.den.degree == 0:
+            return hash(self.num)
+        return hash((self.num, self.den))
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
@@ -530,6 +552,8 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )

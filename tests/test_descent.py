@@ -204,6 +204,33 @@ class TestTorsionImagesFromFactors:
         counted = {k: n for k, n in factor_calls.items() if not k.is_constant()}
         assert counted == expected
 
+    @pytest.mark.parametrize("index", range(len(SPLIT_CURVES)))
+    def test_descent_forms_neither_p_plus_q_nor_p_times_q(self, index, monkeypatch):
+        # a2 = -(p + q) and a4 = p q are formed only when the Weierstrass
+        # coefficients are read, which the descent images and the
+        # transcendence test never do.
+        p, q = (RationalFunction.coerce(h) for h in SPLIT_CURVES[index])
+        formed = []
+        for name in ("__add__", "__mul__"):
+            original = getattr(RationalFunction, name)
+
+            def counting(self, other, name=name, original=original):
+                if {id(self), id(other)} == {id(p), id(q)}:
+                    formed.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(RationalFunction, name, counting)
+        curve = WeierstrassCurve.from_split(p, q)
+        for mode in (QT, CT):
+            for point in TORSION:
+                descent_image(point, curve, mode)
+        transcendence_test(7 * (T + 5), p * (T**2 + 3), curve, mw_rank_bound=0)
+        assert formed == []
+        # The guard sees the coefficients being formed, once.
+        curve.coefficients()
+        curve.coefficients()
+        assert sorted(formed) == ["__add__", "__mul__"]
+
     def test_quartic_of_p_minus_q_factored_once(self, factor_calls):
         # p - q = -6 h and q = 6 (t-3)(t-2)(t+2)^2, so f = 6 q h and g are
         # built from the factor base but for the square (t+6)^2.

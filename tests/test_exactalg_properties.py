@@ -2,12 +2,17 @@
 
 Evaluation against a Fraction Horner loop, poly_gcd against the Fraction
 Euclid loop it replaced, rational roots against the divisor search of the
-end coefficients that p-adic lifting replaced, and poly_factor against
-sympy's factor_list when sympy is installed.
+end coefficients that p-adic lifting replaced, poly_factor against
+sympy's factor_list when sympy is installed, rational function arithmetic
+against Fraction arithmetic at sample points, and the hash against
+equality across ints, Fractions, polynomials and rational functions.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+import operator
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +22,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ellbrauer.exactalg import (  # noqa: E402
     ONE,
     Polynomial,
+    RationalFunction,
+    T,
     _lifted_roots,
     poly_factor,
     poly_gcd,
@@ -188,3 +195,103 @@ def test_factors_with_large_end_coefficients_match_sympy():
         assert len(fac.factors) == len(bases)
 
     check()
+
+
+# Elements of Q(t) of small height, so that equal ones turn up often.
+tiny_polys = st.builds(
+    Polynomial,
+    st.lists(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)), max_size=3),
+)
+nonzero_tiny_polys = tiny_polys.filter(bool)
+
+
+@st.composite
+def q_t_elements(draw):
+    """One element of Q(t) in one of the forms that compare equal to it.
+
+    The form is an int or a Fraction for a constant, a Polynomial for a
+    polynomial, and a RationalFunction always, built as (f h) / (g h) with
+    a cancelling factor h.
+    """
+    f, g = draw(tiny_polys), draw(st.one_of(st.just(ONE), nonzero_tiny_polys))
+    value = RationalFunction(f, g)
+    forms = [value, RationalFunction(f * (T + 1), g * (T + 1))]
+    if value.den == ONE:
+        forms.append(value.num)
+        if value.num.is_constant():
+            c = value.num.as_constant()
+            forms.append(c)
+            if c.denominator == 1:
+                forms.append(int(c))
+    return draw(st.sampled_from(forms))
+
+
+def test_constants_hash_as_their_scalars():
+    assert 3 in {Polynomial((3,))}
+    assert Fraction(-1, 2) in {RationalFunction(Fraction(-1, 2))}
+    assert RationalFunction(3) in {Polynomial((3,))}
+    assert hash(Polynomial()) == hash(RationalFunction(0)) == 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(q_t_elements(), min_size=2, max_size=4))
+def test_equal_elements_hash_alike(elements):
+    for a, b in combinations(elements, 2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+        assert (a == b) == (b == a)
+
+
+# Monic denominators with no root among the sample points below: products
+# of t - (2r + 1)/7 with |2r + 1| < 7, plus 1/3 or not (a shift that leaves
+# no root of denominator 1 or 2).
+denominators = st.builds(
+    lambda roots, shift: _product(T - Fraction(2 * r + 1, 7) for r in roots) + shift,
+    st.lists(st.integers(-3, 2), min_size=1, max_size=2),
+    st.sampled_from([0, 0, Fraction(1, 3)]),
+)
+numerators = st.builds(Polynomial, st.lists(st.integers(-4, 4), max_size=4))
+OPERATIONS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
+SAMPLE_POINTS = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two rational functions whose denominators are both 1, equal and not
+    1, or different."""
+    case = draw(st.sampled_from(["unit", "equal", "different"]))
+    d1 = ONE if case == "unit" else draw(denominators)
+    d2 = d1 if case != "different" else draw(denominators)
+    a = RationalFunction(draw(numerators), d1)
+    b = RationalFunction(draw(numerators), d2)
+    if case == "equal":
+        hypothesis.assume(a.den == b.den != ONE)
+    return case, a, b
+
+
+def _is_reduced(r: RationalFunction) -> bool:
+    return r.den.leading() == 1 and (
+        r.den == ONE if r.num.is_zero() else poly_gcd(r.num, r.den) == ONE
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(operand_pairs(), st.sampled_from(sorted(OPERATIONS)))
+def test_rational_function_arithmetic_matches_fractions(pair, op):
+    case, a, b = pair
+    if op == "/":
+        hypothesis.assume(not b.is_zero())
+    result = OPERATIONS[op](a, b)
+    assert _is_reduced(result)
+    if case == "unit" and op != "/":
+        assert result.den == ONE
+    checked = 0
+    for x in SAMPLE_POINTS:
+        if op == "/" and b.num(x) == 0:
+            continue
+        assert result(x) == OPERATIONS[op](a(x), b(x)), (a, op, b, x)
+        checked += 1
+    # more points than the degrees of the result, so the values fix it
+    assert checked > max(result.num.degree, result.den.degree)
