@@ -36,9 +36,8 @@ from typing import Iterator
 
 from ._valueclass import value_class
 from .descent import BrauerClass, _coordinate_value, brauer_image
-from .elliptic import WeierstrassCurve, candidate_places, invariants
-from .exactalg import Polynomial, T, _frac
-from .funcfield import valuation
+from .elliptic import SplitCurve
+from .exactalg import T, _frac
 from .hilbert import RationalPlace, _is_square, _square_class, _symbol_sign
 
 
@@ -47,12 +46,9 @@ class DegeneratePointError(ValueError):
 
 
 @lru_cache(maxsize=1)
-def reference_curve() -> WeierstrassCurve:
+def reference_curve() -> SplitCurve:
     """The split curve with p = 3(t-1)^3(t+3) and q(t) = p(-t)."""
-    t = Polynomial.variable()
-    p = 3 * (t - 1) ** 3 * (t + 3)
-    q = 3 * (t + 1) ** 3 * (t - 3)
-    return WeierstrassCurve.from_split(p, q)
+    return SplitCurve(3 * (T - 1) ** 3 * (T + 3), 3 * (T + 1) ** 3 * (T - 3))
 
 
 # The pair (f, g) of the reference class (x - p, f) + (x - q, g).
@@ -100,7 +96,7 @@ _Fiber = tuple[int, int, int]
 _Coordinates = tuple[int, int, int]
 
 
-def _fiber(curve: WeierstrassCurve, t0: Fraction) -> _Fiber:
+def _fiber(curve: SplitCurve, t0: Fraction) -> _Fiber:
     """(D, P, Q) with p(t0) = P/D and q(t0) = Q/D.
 
     Raises DegeneratePointError at a pole of p or q.
@@ -135,12 +131,12 @@ def _coordinates(
 
 
 def _point_coordinates(
-    curve: WeierstrassCurve, point: SurfacePoint
+    curve: SplitCurve, point: SurfacePoint
 ) -> _Coordinates | None:
     return _coordinates(_fiber(curve, point.t0), point.x0, point.place.p)
 
 
-def is_local_point(curve: WeierstrassCurve, point: SurfacePoint) -> bool:
+def is_local_point(curve: SplitCurve, point: SurfacePoint) -> bool:
     """Whether the point lies on the curve over the completion at its place."""
     return point.at_zero_section or _point_coordinates(curve, point) is not None
 
@@ -271,27 +267,16 @@ def _pairs_by_height(height: int) -> Iterator[tuple[Fraction, list[Fraction]]]:
         seen = seen + fresh
 
 
-def excluded_parameters(curve: WeierstrassCurve) -> tuple[Fraction, ...]:
-    """Rational t0 over singular fibers: roots of the discriminant's support.
+def excluded_parameters(curve: SplitCurve) -> tuple[Fraction, ...]:
+    """Rational t0 over singular fibers, which sampling skips.
 
-    The support is read off the candidate places of the fiber
-    classification, so nothing is factored beyond what it factors.
-    Computed once per curve and cached on it.
+    The curve reads them once off the factors of p, q and p - q.
     """
-    if curve._excluded is None:
-        _, _, disc = invariants(curve)
-        curve._excluded = tuple(
-            sorted(
-                -place.pi.coeff(0)
-                for place in candidate_places(curve)
-                if place.degree == 1 and valuation(place, disc) != 0
-            )
-        )
-    return curve._excluded
+    return curve.excluded_parameters()
 
 
 def _sampled_points(
-    curve: WeierstrassCurve, place: RationalPlace, height: int
+    curve: SplitCurve, place: RationalPlace, height: int
 ) -> Iterator[tuple[Fraction, Fraction, _Coordinates]]:
     """(t0, x0, coordinates) for every pair that local_points keeps, in order.
 
@@ -318,7 +303,7 @@ def _sampled_points(
 
 
 def local_points(
-    curve: WeierstrassCurve,
+    curve: SplitCurve,
     place: RationalPlace,
     count: int,
     height: int = 20,

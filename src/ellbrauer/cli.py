@@ -70,7 +70,7 @@ from .descent import TranscendenceVerdict, descent_image, transcendence_test
 from .elliptic import (
     ClassificationError,
     SingularCurveError,
-    WeierstrassCurve,
+    SplitCurve,
     classify_surface,
 )
 from .exactalg import Polynomial, T, coefficient_bits
@@ -340,12 +340,12 @@ def _line(label: object, key: str, value: object, sep: str = " = ") -> Line:
 Output = tuple[list[Line], int]
 
 
-def _curve_from_args(args: argparse.Namespace) -> WeierstrassCurve:
+def _curve_from_args(args: argparse.Namespace) -> SplitCurve:
     if (args.p is None) != (args.q is None):
         raise argparse.ArgumentTypeError("--p and --q must be given together")
     if args.p is None:
         return reference_curve()
-    return WeierstrassCurve.from_split(args.p, args.q)
+    return SplitCurve(args.p, args.q)
 
 
 def _cmd_fibers(args: argparse.Namespace) -> Output:

@@ -31,8 +31,8 @@ import enum
 from typing import Sequence
 
 from ._valueclass import value_class
-from .exactalg import RationalFunction
-from .elliptic import WeierstrassCurve, base_factors, split_factors
+from .exactalg import RationalFunction, T
+from .elliptic import SplitCurve, WeierstrassCurve, base_factors, split_factors
 from .residues import QtBrauerClass, _SymbolSum
 from .squareclass import (
     FieldMode,
@@ -118,23 +118,25 @@ class DescentPair:
         return f"({self.first}, {self.second})"
 
 
-def _require_split(
-    curve: WeierstrassCurve,
-) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
-    """p, q and p - q of a split curve on which 0, p and q are distinct."""
-    if not curve.is_split:
+def _checked_split(curve: WeierstrassCurve) -> SplitCurve:
+    """The curve, checked where it enters descent: split, 0, p, q distinct.
+
+    Each public function here that takes a curve calls it before it
+    reads the curve; the helpers behind them take the checked curve.
+    """
+    if not isinstance(curve, SplitCurve):
         raise ValueError("descent requires the split form y^2 = x(x-p)(x-q)")
-    p, q, p_minus_q = curve.split_p, curve.split_q, curve.split_p_minus_q
-    if p_minus_q.is_zero() or p.is_zero() or q.is_zero():
+    if curve.is_degenerate:
         raise ValueError("split curve is degenerate: 0, p, q must be distinct")
-    return p, q, p_minus_q
+    return curve
 
 
 def descent_pair_functions(
-    point: CurvePoint, curve: WeierstrassCurve
+    point: CurvePoint, curve: SplitCurve
 ) -> tuple[RationalFunction, RationalFunction]:
     """Representative functions in Q(t)* for the descent image of a point."""
-    p, q, p_minus_q = _require_split(curve)
+    curve = _checked_split(curve)
+    p, q, p_minus_q = curve.split_p, curve.split_q, curve.split_p_minus_q
     one = RationalFunction(1)
     if point.kind is PointKind.ZERO:
         return one, one
@@ -143,10 +145,8 @@ def descent_pair_functions(
     if point.kind is PointKind.TWO_TORSION_Q:
         return q * -p_minus_q, -p_minus_q
     if point.kind is PointKind.TWO_TORSION_ORIGIN:
-        # (0, 0) = (p, 0) + (q, 0) in the group law.
-        fp, sp = descent_pair_functions(CurvePoint.two_torsion_p(), curve)
-        fq, sq = descent_pair_functions(CurvePoint.two_torsion_q(), curve)
-        return fp * fq, sp * sq
+        # (0, 0) = (p, 0) + (q, 0) in the group law: the products of their pairs.
+        return p_minus_q * (q * -p_minus_q), p * p_minus_q * -p_minus_q
     x0, y0 = point.x, point.y
     if not (y0 * y0 - x0 * (x0 - p) * (x0 - q)).is_zero():
         raise ValueError(f"{point} does not lie on {curve}")
@@ -165,7 +165,7 @@ _TORSION_KINDS = (
 
 
 def descent_image(
-    point: CurvePoint, curve: WeierstrassCurve, mode: FieldMode
+    point: CurvePoint, curve: SplitCurve, mode: FieldMode
 ) -> DescentPair:
     """Square-class pair of a point under the mod-2 descent map.
 
@@ -175,15 +175,13 @@ def descent_image(
     if mode is FieldMode.RATIONALS_ONLY:
         raise ValueError("descent images live over Q(t) or C(t)")
     if point.kind in _TORSION_KINDS:
-        return _torsion_image(point.kind, curve, mode)
+        return _torsion_image(point.kind, _checked_split(curve), mode)
     f, g = descent_pair_functions(point, curve)
     return DescentPair(class_of(f, mode), class_of(g, mode))
 
 
-def _torsion_image(
-    kind: PointKind, curve: WeierstrassCurve, mode: FieldMode
-) -> DescentPair:
-    p, q, p_minus_q = _require_split(curve)
+def _torsion_image(kind: PointKind, curve: SplitCurve, mode: FieldMode) -> DescentPair:
+    p, q, p_minus_q = curve.split_p, curve.split_q, curve.split_p_minus_q
 
     def c(f: RationalFunction) -> SquareClassVector:
         return class_from_factors(*split_factors(curve, f), mode)
@@ -238,9 +236,8 @@ class BrauerClass(_SymbolSum):
 
     __slots__ = ("curve",)
 
-    def __init__(self, curve: WeierstrassCurve, symbols: Sequence[tuple]) -> None:
-        _require_split(curve)
-        self.curve = curve
+    def __init__(self, curve: SplitCurve, symbols: Sequence[tuple]) -> None:
+        self.curve = _checked_split(curve)
         super().__init__(symbols)
 
     def _symbol(self, coord, f) -> Symbol:
@@ -254,18 +251,16 @@ class BrauerClass(_SymbolSum):
     def _with(self, symbols: Sequence[tuple]) -> "BrauerClass":
         return BrauerClass(self.curve, symbols)
 
-    def _context(self) -> WeierstrassCurve:
+    def _context(self) -> SplitCurve:
         return self.curve
 
     def substitute_neg_t(self) -> "BrauerClass":
         """The class pulled back under t -> -t, on the pulled-back curve."""
-        from .exactalg import Polynomial
-
-        neg_t = Polynomial((0, -1))
+        neg_t = -T
         p = self.curve.split_p.substitute(neg_t)
         q = self.curve.split_q.substitute(neg_t)
         # x(x-p)(x-q) keeps its shape, with the roots p and q swapped.
-        swapped = WeierstrassCurve.from_split(q, p)
+        swapped = SplitCurve(q, p)
         swap = {
             CurveCoordinate.X: CurveCoordinate.X,
             CurveCoordinate.X_MINUS_P: CurveCoordinate.X_MINUS_Q,
@@ -285,7 +280,7 @@ class BrauerClass(_SymbolSum):
         )
 
 
-def brauer_image(f, g, curve: WeierstrassCurve) -> BrauerClass:
+def brauer_image(f, g, curve: SplitCurve) -> BrauerClass:
     """The Brauer class (x - p, f) + (x - q, g) of a square-class pair."""
     f, g = RationalFunction.coerce(f), RationalFunction.coerce(g)
     symbols = []
@@ -312,7 +307,7 @@ class TranscendenceResult:
 
 
 def transcendence_test(
-    f, g, curve: WeierstrassCurve, mw_rank_bound: int
+    f, g, curve: SplitCurve, mw_rank_bound: int
 ) -> TranscendenceResult:
     """Decide whether (x-p, f) + (x-q, g) survives base change to C.
 
@@ -329,7 +324,7 @@ def transcendence_test(
     """
     mode = FieldMode.CONSTANTS_ARE_SQUARES
     f, g = _nonzero(f), _nonzero(g)
-    _require_split(curve)
+    curve = _checked_split(curve)
     target = DescentPair(
         class_from_factors(*base_factors(curve, f), mode),
         class_from_factors(*base_factors(curve, g), mode),

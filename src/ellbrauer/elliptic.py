@@ -8,6 +8,12 @@ rebuilt.  Component counts and Euler contributions follow the standard
 table, and the lattice rank bound follows Shioda-Tate: the classes of the
 zero section, a general fiber, and the non-identity fiber components are
 independent in the Neron-Severi group.
+
+The paper's surfaces are split curves y^2 = x (x - p) (x - q), a
+SplitCurve (from WeierstrassCurve.from_split).  It owns what p, q and
+p - q determine, and only this module computes it: the lazy a2 and a4,
+the factorizations, the factor base and its places, and the excluded
+parameters, all read off the factors of p, q and p - q.
 """
 
 from __future__ import annotations
@@ -34,66 +40,29 @@ _ZERO = RationalFunction(0)
 
 
 class WeierstrassCurve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t), immutable.
 
-    __slots__ = (
-        "a1", "_a2", "a3", "_a4", "a6", "split_p", "split_q", "split_p_minus_q",
-        "_inv", "_excluded", "_factors", "_base",
-    )
+    invariants() computes (c4, c6, disc) once and keeps them on the curve.
+    """
+
+    __slots__ = ("_coeffs", "_inv")
+    is_split = False
 
     def __init__(self, a1, a2, a3, a4, a6) -> None:
-        self.a1 = RationalFunction.coerce(a1)
-        self._a2: RationalFunction | None = RationalFunction.coerce(a2)
-        self.a3 = RationalFunction.coerce(a3)
-        self._a4: RationalFunction | None = RationalFunction.coerce(a4)
-        self.a6 = RationalFunction.coerce(a6)
-        self.split_p: RationalFunction | None = None
-        self.split_q: RationalFunction | None = None
-        self.split_p_minus_q: RationalFunction | None = None
-        self._inv: tuple[RationalFunction, RationalFunction, RationalFunction] | None
-        self._inv = None
-        # Filled in by brauer.excluded_parameters.
-        self._excluded: tuple[Fraction, ...] | None = None
-        # Filled in by split_factors, one entry per polynomial factored.
-        self._factors: dict[Polynomial, Factorization] = {}
-        # Filled in by factor_base from the entries of _factors.
-        self._base: tuple[Polynomial, ...] | None = None
+        self._coeffs = tuple(map(RationalFunction.coerce, (a1, a2, a3, a4, a6)))
+        self._inv: tuple[RationalFunction, ...] | None = None
 
     @staticmethod
-    def from_split(p, q) -> "WeierstrassCurve":
-        """The curve y^2 = x (x - p) (x - q).
-
-        p, q and p - q are formed here.  a2 = -(p + q) and a4 = p q are
-        formed on the first call of coefficients(), which a2, a4,
-        invariants, minimalize_at, == and hash all make; descent images
-        and the transcendence test read p, q and p - q alone, so on their
-        curves p is never multiplied by q.
-        """
-        p, q = RationalFunction.coerce(p), RationalFunction.coerce(q)
-        curve = WeierstrassCurve(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
-        curve._a2 = curve._a4 = None
-        curve.split_p = p
-        curve.split_q = q
-        curve.split_p_minus_q = p - q
-        return curve
-
-    @property
-    def is_split(self) -> bool:
-        return self.split_p is not None
+    def from_split(p, q) -> "SplitCurve":
+        """The curve y^2 = x (x - p) (x - q), as a SplitCurve."""
+        return SplitCurve(p, q)
 
     def coefficients(self) -> tuple[RationalFunction, ...]:
-        if self._a2 is None:  # a split curve, on first use
-            p, q = self.split_p, self.split_q
-            self._a2, self._a4 = -(p + q), p * q
-        return (self.a1, self._a2, self.a3, self._a4, self.a6)
+        return self._coeffs
 
-    @property
-    def a2(self) -> RationalFunction:
-        return self.coefficients()[1]
-
-    @property
-    def a4(self) -> RationalFunction:
-        return self.coefficients()[3]
+    a1, a2, a3, a4, a6 = (
+        property(lambda self, i=i: self.coefficients()[i]) for i in range(5)
+    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeierstrassCurve):
@@ -104,12 +73,82 @@ class WeierstrassCurve:
         return hash(("WeierstrassCurve", self.coefficients()))
 
     def __str__(self) -> str:
-        if self.is_split:
-            return f"y^2 = x*(x - ({self.split_p}))*(x - ({self.split_q}))"
         return (
             f"y^2 + ({self.a1})xy + ({self.a3})y = "
             f"x^3 + ({self.a2})x^2 + ({self.a4})x + ({self.a6})"
         )
+
+    def _candidate_places(self) -> list[Place]:
+        c4, c6, disc = invariants(self)
+        places = places_of_support((disc, c4.den, c6.den))
+        return [pl for pl in places if not pl.is_infinite]
+
+    def _scaled(self, u: RationalFunction) -> "WeierstrassCurve":
+        return WeierstrassCurve(
+            *(a / u**k for a, k in zip(self.coefficients(), (1, 2, 3, 4, 6)))
+        )
+
+
+class SplitCurve(WeierstrassCurve):
+    """y^2 = x (x - p) (x - q), holding p, q and p - q, all read-only.
+
+    What they determine is computed here, on first use, and kept: a2 =
+    -(p + q) and a4 = p q (coefficients(); descent never forms them), the
+    factorizations of p, q and p - q (split_factors), their factor base
+    (factor_base), whose places are the candidate places, and the excluded
+    parameters, none of which expands disc = 16 p^2 q^2 (p - q)^2.  A
+    degenerate curve (0, p, q not distinct) raises SingularCurveError
+    where disc is needed.
+    """
+
+    __slots__ = ("_p", "_q", "_p_minus_q", "_factors", "_base", "_excluded")
+    is_split = True
+
+    def __init__(self, p, q) -> None:
+        self._p, self._q = RationalFunction.coerce(p), RationalFunction.coerce(q)
+        self._p_minus_q = self._p - self._q
+        self._coeffs = self._inv = self._base = self._excluded = None
+        self._factors: dict[Polynomial, Factorization] = {}
+
+    split_p = property(lambda self: self._p)
+    split_q = property(lambda self: self._q)
+    split_p_minus_q = property(lambda self: self._p_minus_q)
+
+    @property
+    def is_degenerate(self) -> bool:
+        """Whether 0, p and q fail to be distinct, so that disc = 0."""
+        return not (self._p and self._q and self._p_minus_q)
+
+    def coefficients(self) -> tuple[RationalFunction, ...]:
+        if self._coeffs is None:
+            p, q = self._p, self._q
+            self._coeffs = (_ZERO, -(p + q), _ZERO, p * q, _ZERO)
+        return self._coeffs
+
+    def __str__(self) -> str:
+        return f"y^2 = x*(x - ({self._p}))*(x - ({self._q}))"
+
+    def _candidate_places(self) -> list[Place]:
+        return [Place(base) for base in factor_base(self)]
+
+    def _scaled(self, u: RationalFunction) -> "SplitCurve":
+        u2 = u**2
+        return SplitCurve(self._p / u2, self._q / u2)
+
+    def excluded_parameters(self) -> tuple[Fraction, ...]:
+        """Rational t0 over singular fibers, in order: the roots of the
+        linear bases where v(disc) = 2 (v(p) + v(q) + v(p - q)) is nonzero.
+        """
+        if self._excluded is None:
+            v: dict[Polynomial, int] = {}
+            for f in (self._p, self._q, self._p_minus_q):
+                for fac, sign in zip(split_factors(self, f), (1, -1)):
+                    for base, e in fac.factors:
+                        v[base] = v.get(base, 0) + sign * e
+            self._excluded = tuple(
+                sorted(-b.coeff(0) for b, n in v.items() if n and b.degree == 1)
+            )
+        return self._excluded
 
 
 def invariants(
@@ -133,15 +172,16 @@ def invariants(
 
 
 def split_factors(
-    curve: WeierstrassCurve, f: RationalFunction
+    curve: SplitCurve, f: RationalFunction
 ) -> tuple[Factorization, Factorization]:
     """Factorizations of the numerator and denominator of f = p, q or p - q.
 
-    Each polynomial is factored once per curve and kept on it, so fiber
-    classification, excluded parameters and the torsion descent images
-    share the work.  The irreducibles found make up the curve's factor
-    base (factor_base), which base_factors divides out of other functions.
+    Each polynomial is factored once per curve and kept on it, for the
+    factor base, the excluded parameters and the torsion descent images.
+    A zero f makes the discriminant vanish: SingularCurveError.
     """
+    if not f:
+        raise SingularCurveError("discriminant vanishes identically")
     cache = curve._factors
     for poly in (f.num, f.den):
         if poly not in cache:
@@ -149,11 +189,9 @@ def split_factors(
     return cache[f.num], cache[f.den]
 
 
-def factor_base(curve: WeierstrassCurve) -> tuple[Polynomial, ...]:
-    """The monic irreducible factors of p, q and p - q on a split curve.
-
-    In sort order (lowest degree first); built once per curve and kept
-    on it.
+def factor_base(curve: SplitCurve) -> tuple[Polynomial, ...]:
+    """The monic irreducible factors of p, q and p - q, in sort order
+    (lowest degree first); built once per curve and kept on it.
     """
     if curve._base is None:
         bases = {
@@ -167,7 +205,7 @@ def factor_base(curve: WeierstrassCurve) -> tuple[Polynomial, ...]:
 
 
 def base_factors(
-    curve: WeierstrassCurve, f: RationalFunction
+    curve: SplitCurve, f: RationalFunction
 ) -> tuple[Factorization, Factorization]:
     """Factorizations of the numerator and denominator of a nonzero f.
 
@@ -175,7 +213,6 @@ def base_factors(
     factored, after Bernstein's coprime bases ("Factoring into coprimes in
     essentially linear time", J. Algorithms 2005).  The result is
     poly_factor's, as factorization into monic irreducibles is unique.
-    The curve must be split.
     """
     base = factor_base(curve)
     return factor_over(f.num, base), factor_over(f.den, base)
@@ -186,16 +223,11 @@ def candidate_places(curve: WeierstrassCurve) -> list[Place]:
 
     A place can only be bad if the discriminant has nonzero valuation
     there or some invariant has a pole, so the candidates are the support
-    of disc and the denominator factors of c4 and c6.  On a split curve
-    the factors of p, q and p - q are used instead; their support
-    contains that set, since disc = 16 p^2 q^2 (p - q)^2 and c4, c6 are
-    polynomials in p and q.
+    of disc and the denominator factors of c4 and c6; on a split curve,
+    the places of its factor base, which contains them (c4 and c6 are
+    polynomials in p and q).  Raises SingularCurveError if disc = 0.
     """
-    c4, c6, disc = invariants(curve)
-    if not curve.is_split:
-        places = places_of_support((disc, c4.den, c6.den))
-        return [pl for pl in places if not pl.is_infinite]
-    return [Place(base) for base in factor_base(curve)]
+    return curve._candidate_places()
 
 
 @value_class
@@ -297,25 +329,13 @@ def minimalize_at(
     n is the largest shift keeping v(c4), v(c6), v(disc) nonnegative, so
     the resulting valuations satisfy the minimality criterion: not all of
     v(c4) >= 4, v(c6) >= 6, v(disc) >= 12.  n may be negative, which
-    clears poles (the standard situation at infinity).
+    clears poles (the standard situation at infinity).  A split curve
+    scales to the split curve with p / u^2 and q / u^2.
     """
     n = _minimal_shift(_vals(place, invariants(curve)))
     if n == 0:
         return curve, 0
-    u = _uniformizer(place) ** n
-    scaled = WeierstrassCurve(
-        curve.a1 / u,
-        curve.a2 / u**2,
-        curve.a3 / u**3,
-        curve.a4 / u**4,
-        curve.a6 / u**6,
-    )
-    if curve.is_split:
-        u2 = u**2
-        scaled.split_p = curve.split_p / u2
-        scaled.split_q = curve.split_q / u2
-        scaled.split_p_minus_q = curve.split_p_minus_q / u2
-    return scaled, n
+    return curve._scaled(_uniformizer(place) ** n), n
 
 
 @value_class

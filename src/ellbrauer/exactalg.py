@@ -19,11 +19,11 @@ at a finite place, and the residue of the unit part, a Fraction at
 degree 1 and a polynomial of lower degree than the place above it),
 ``coefficient_bits``, ``poly_gcd``, ``poly_factor`` and ``factor_over``.
 
-Evaluation at a rational a/b runs Horner's rule on integers: the
-coefficients are brought to their common denominator D and the powers of b
-are carried along, so a single Fraction, the integer sum over D * b^deg,
-is normalised per call.  A rational function with a constant (hence unit) denominator
-is evaluated as its numerator.
+A polynomial builds its integer model on first use and keeps it, as it
+keeps its hash.  Evaluation at a rational a/b runs Horner's rule on that
+model, carrying the powers of b along, so a single Fraction, the integer
+sum over D * b^deg, is normalised per call.  A rational function with a
+constant (hence unit) denominator is evaluated as its numerator.
 
 Factorization over Q works on the primitive integer model H of f.  The
 squarefree part is H / gcd(H, H') in Z[t], with the gcd from the
@@ -49,6 +49,7 @@ from typing import Callable, Iterator, Sequence, Union
 from ._valueclass import value_class
 
 Scalar = Union[int, Fraction]
+_Ints = Sequence[int]  # an integer model, or a list built from one
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -62,13 +63,15 @@ def _frac(x: Scalar) -> Fraction:
 class Polynomial:
     """Univariate polynomial over Q in the variable t."""
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs", "_hash", "_model")
 
     def __init__(self, coeffs: Sequence[Scalar] = ()) -> None:
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
+        self._hash: int | None = None
+        self._model: tuple[tuple[int, ...], int] | None = None
 
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
@@ -124,14 +127,11 @@ class Polynomial:
 
     def __hash__(self) -> int:
         # Polynomials are immutable, so the hash is computed on first use
-        # and kept; the slot stays unset until then.  A constant equals its
-        # value, so it hashes as that value.
-        try:
-            return self._hash
-        except AttributeError:
+        # and kept.  A constant equals its value, so it hashes as that value.
+        if self._hash is None:
             cs = self._coeffs
             self._hash = hash(cs) if len(cs) > 1 else hash(self.as_constant())
-            return self._hash
+        return self._hash
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self._coeffs))
@@ -225,23 +225,18 @@ class Polynomial:
     def __call__(self, x: Scalar) -> Fraction:
         """Value at x = a/b: sum(n_i a^i b^(d-i)) / (D b^d), n_i = c_i D.
 
-        D is the common denominator of the coefficients, built pairwise:
-        lcm(*generator) would materialise a tuple per call.  This is the
-        loop of ``_integer_model``, inlined: building the coefficient list
-        there costs this hot path about a tenth more per evaluation.
+        The n_i and D are the polynomial's integer model, which is built
+        on first use and kept (``_integer_model``).
         """
         x = _frac(x)
-        cs = self._coeffs
-        den = 1
-        for c in cs:
-            den = lcm(den, c.denominator)
+        ns, den = _integer_model(self)
         a, b = x.numerator, x.denominator
         acc = 0
         b_pow = 1
-        for c in reversed(cs):
-            acc = acc * a + c.numerator * (den // c.denominator) * b_pow
+        for n in reversed(ns):
+            acc = acc * a + n * b_pow
             b_pow *= b
-        return Fraction(acc, den * b ** max(len(cs) - 1, 0))
+        return Fraction(acc, den * b ** max(len(ns) - 1, 0))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute inner for t."""
@@ -286,19 +281,23 @@ class Polynomial:
 _Residue = Union[Fraction, Polynomial]
 
 
-def _integer_model(poly: Polynomial) -> tuple[list[int], int]:
+def _integer_model(poly: Polynomial) -> tuple[tuple[int, ...], int]:
     """The coefficients of poly times their common denominator D, and D.
 
     The model of a monic polynomial is primitive, with leading coefficient D.
+    Polynomials are immutable, so it is built on first use and kept, as
+    the hash is.
     """
-    cs = poly.coeffs
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in cs], den
+    if poly._model is None:
+        cs = poly._coeffs
+        den = 1
+        for c in cs:
+            den = lcm(den, c.denominator)
+        poly._model = tuple([c.numerator * (den // c.denominator) for c in cs]), den
+    return poly._model
 
 
-def _divide(ns: list[int], ps: list[int]) -> list[int] | None:
+def _divide(ns: _Ints, ps: _Ints) -> list[int] | None:
     """ns / P in Z[t] when P = ps divides nonzero ns, else None.
 
     P is primitive, so by Gauss's lemma it divides in Z[t] when it does in
@@ -328,7 +327,7 @@ def _divide(ns: list[int], ps: list[int]) -> list[int] | None:
     return None if any(rem[:d]) else quot
 
 
-def _deflate(ps: list[int], ns: list[int]) -> tuple[int, list[int]]:
+def _deflate(ps: _Ints, ns: _Ints) -> tuple[int, _Ints]:
     """(v, quot) with ns = P^v * quot in Z[t] and P = ps not dividing quot.
 
     P is primitive of degree d >= 1 and ns is nonzero.
@@ -355,7 +354,7 @@ def deflate_at(
     ps, lead = _integer_model(pi)
     nums, dens = ((poly, *_deflated(ps, poly)) for poly in (num, den))
 
-    def reduced(poly: Polynomial, v: int, quot: list[int] | None, d: int) -> _Residue:
+    def reduced(poly: Polynomial, v: int, quot: _Ints | None, d: int) -> _Residue:
         if quot is None:  # poly is already reduced mod pi
             return poly if len(ps) > 2 else poly.as_constant()
         if len(ps) > 2:
@@ -379,7 +378,7 @@ def deflate_at(
     return nums[1] - dens[1], residue
 
 
-def _deflated(ps: list[int], poly: Polynomial) -> tuple[int, list[int] | None, int]:
+def _deflated(ps: _Ints, poly: Polynomial) -> tuple[int, _Ints | None, int]:
     """(v, quot, D) with D * poly = P^v * quot, P = ps primitive.
 
     A poly of lower degree than P is not deflated: (0, None, 1).
@@ -427,7 +426,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return _monic(_integer_gcd(fs, gs))
 
 
-def _primitive(ns: list[int]) -> list[int]:
+def _primitive(ns: _Ints) -> list[int]:
     """Nonzero ns over the gcd of its coefficients, with a positive lead."""
     c = gcd(*ns)
     return [n // c for n in ns] if ns[-1] > 0 else [-n // c for n in ns]

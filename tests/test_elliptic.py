@@ -82,6 +82,14 @@ class TestCurveConstruction:
     def test_general_curve_is_not_split(self):
         assert not general(T, T).is_split
 
+    @pytest.mark.parametrize(
+        "curve, name",
+        [(split(T, 2 * T), "split_p"), (split(T, 2 * T), "a2"), (general(T, T), "a4")],
+    )
+    def test_curves_are_immutable(self, curve, name):
+        with pytest.raises(AttributeError):
+            setattr(curve, name, RationalFunction(1))
+
     def test_structural_equality(self):
         assert split(T, 2 * T) == split(T, 2 * T)
         assert split(T, 2 * T) != split(T, 3 * T)

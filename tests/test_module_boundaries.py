@@ -14,6 +14,10 @@ an underscore name of funcfield.
 The package calls ``print`` in one place: each CLI command returns its
 lines and exit code, and ``cli.main`` prints them, or for an error the
 line of its exit table.
+
+A private slot (``_name``) is written only by the module whose class
+declares it in ``__slots__``: what a curve or polynomial keeps about
+itself is computed where its type is defined.
 """
 
 import ast
@@ -109,3 +113,38 @@ def test_only_cli_main_prints():
         for scope in _print_callers(tree)
     }
     assert callers == {"cli.main"}
+
+
+def _declared_slots(tree: ast.AST) -> set[str]:
+    """The names listed in any literal ``__slots__`` of the module."""
+    return {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+    }
+
+
+def _private_writes(tree: ast.AST) -> set[str]:
+    """Each ``_name`` (one leading underscore) stored as ``obj._name``, obj not self."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    }
+
+
+def test_no_module_writes_another_modules_private_slot():
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {"elliptic", "exactalg", "brauer"} <= set(modules)
+    leaks = {
+        name: sorted(_private_writes(tree) - _declared_slots(tree))
+        for name, tree in modules.items()
+    }
+    assert {name: found for name, found in leaks.items() if found} == {}
