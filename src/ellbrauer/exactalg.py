@@ -25,18 +25,19 @@ model, carrying the powers of b along, so a single Fraction, the integer
 sum over D * b^deg, is normalised per call.  A rational function with a
 constant (hence unit) denominator is evaluated as its numerator.
 
-Factorization over Q works on the primitive integer model H of f.  The
-squarefree part is H / gcd(H, H') in Z[t], with the gcd from the
-primitive remainder sequence; its rational roots come from Hensel
-lifting the roots mod one small prime, in time polynomial in the
-coefficients' bits; and the rootless rest goes to the Kronecker split, a
-divisor-interpolation search.  Each factor's multiplicity is counted by
-deflating integer models.  The split is exhaustive, and its cost grows
-with the degree and with the divisors of the values it interpolates: it
-is meant for curve coefficient data of moderate degree.  Three inputs
-show the limit: t^511 - 1 (``fibers --p t^512 --q t``) and t^24 - 1
-(``fibers --p t^24 --q 1``) do not finish in 10 s, and the degree-7
-product (t^2-20t+27)(2t^2-t+23)(5t^3+20t^2-8t+17) takes 7-8 s.
+Factorization over Q works on the primitive integer model H of f and on
+g = gcd(H, H') in Z[t], from the primitive remainder sequence.  The
+rational roots of the radical H / g come from Hensel lifting the roots
+mod one small prime, in time polynomial in the coefficients' bits; the
+rootless rest goes to the Kronecker split, a divisor-interpolation
+search.  A factor of multiplicity e divides g e - 1 times; it is built
+once, as a monic polynomial that keeps its primitive model.  The split
+is exhaustive, and its cost grows with the degree and with the divisors
+of the values it interpolates: it is meant for curve coefficient data of
+moderate degree.  Three inputs show the limit: t^511 - 1
+(``fibers --p t^512 --q t``) and t^24 - 1 (``fibers --p t^24 --q 1``)
+do not finish in 10 s, and the degree-7 product
+(t^2-20t+27)(2t^2-t+23)(5t^3+20t^2-8t+17) takes 7-8 s.
 """
 
 from __future__ import annotations
@@ -423,7 +424,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         h = g if f.is_zero() else f
         return h.monic() if h else h
     fs, gs = (_primitive(_integer_model(h)[0]) for h in (f, g))
-    return _monic(_integer_gcd(fs, gs))
+    return _from_primitive(_integer_gcd(fs, gs))
 
 
 def _primitive(ns: _Ints) -> list[int]:
@@ -432,9 +433,13 @@ def _primitive(ns: _Ints) -> list[int]:
     return [n // c for n in ns] if ns[-1] > 0 else [-n // c for n in ns]
 
 
-def _monic(ns: list[int]) -> Polynomial:
-    lead = ns[-1]
-    return Polynomial([Fraction(n, lead) for n in ns])
+def _from_primitive(ps: list[int]) -> Polynomial:
+    """The monic polynomial of a primitive ps with positive lead L, built as
+    is, with ps as its integer model and D = L (see ``_integer_model``)."""
+    poly, lead = Polynomial.__new__(Polynomial), ps[-1]
+    cs = map(Fraction, ps) if lead == 1 else [Fraction(n, lead) for n in ps]
+    poly._coeffs, poly._hash, poly._model = tuple(cs), None, (tuple(ps), lead)
+    return poly
 
 
 def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -656,20 +661,12 @@ class Factorization:
 def poly_factor(f: Polynomial) -> Factorization:
     """Factor a nonzero polynomial into monic irreducibles over Q.
 
-    On the primitive integer model H of f: the squarefree part
-    H / gcd(H, H') in Z[t], its rational roots by p-adic lifting, and the
-    Kronecker split for what has no rational root, which is slow at high
-    degree (t^511 - 1 does not finish).
+    ``_factor_model`` does the work on the primitive integer model of f.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return Factorization(f.leading(), ())
-    hs = _primitive(_integer_model(f)[0])
-    g = _integer_gcd(hs, _primitive([i * c for i, c in enumerate(hs)][1:]))
-    # Every irreducible factor of f divides the radical hs / g, so no
-    # cofactor is left for factor_over to hand back.
-    return factor_over(f, _factor_squarefree(_divide(hs, g)))
+    factors = _factor_model(_primitive(_integer_model(f)[0])) if f.degree else []
+    return Factorization(f.leading(), tuple(factors))
 
 
 def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
@@ -677,10 +674,9 @@ def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
 
     bases are monic irreducibles.  Each is divided out of f's integer
     model to full multiplicity (Gauss's lemma: a primitive divisor in Q[t]
-    divides in Z[t]), and only a nonconstant cofactor left over goes to
-    poly_factor; a constant f has none.  Factorization into monic
-    irreducibles is unique, so the result does not depend on which bases
-    are given.
+    divides in Z[t]), and only a nonconstant cofactor goes to
+    ``_factor_model``.  Factorization into monic irreducibles is unique,
+    so the result does not depend on which bases are given.
     """
     ns = _integer_model(f)[0]
     factors = []
@@ -690,38 +686,44 @@ def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
             if exp:
                 factors.append((base, exp))
     if len(ns) > 1:
-        factors.extend(poly_factor(Polynomial(ns)).factors)
+        factors.extend(_factor_model(_primitive(ns)))
     factors.sort(key=lambda fe: fe[0].sort_key())
     return Factorization(f.leading(), tuple(factors))
 
 
-def _factor_squarefree(hs: list[int]) -> list[Polynomial]:
-    """Monic irreducible factors of a primitive squarefree hs in Z[t].
+def _factor_model(hs: list[int]) -> list[tuple[Polynomial, int]]:
+    """(base, multiplicity) for the monic irreducible factors of hs, sorted.
 
-    Linear and quadratic hs are settled in closed form.  Above degree 2,
-    each candidate of ``_lifted_roots`` that divides hs is a rational
-    root and is divided out, and the rootless rest goes to the Kronecker
-    split.
+    hs is primitive with a positive lead and degree at least 1.  If
+    H = prod b^e, then g = gcd(H, H') = prod b^(e - 1): the bases are the
+    factors of the radical H / g, and b divides g e - 1 times.  Rational
+    roots come from ``_lifted_roots``, or in closed form at degree 2, where
+    a square discriminant s^2 gives the primitive parts of 2a t + b +- s.
     """
+    g = _integer_gcd(hs, _primitive([i * c for i, c in enumerate(hs)][1:]))
+    hs = _divide(hs, g) if len(g) > 1 else hs
+    roots = _lifted_roots(hs) if len(hs) > 3 else []
     if len(hs) == 3:
         c, b, a = hs
         disc = b * b - 4 * a * c  # nonzero, as hs is squarefree
         s = isqrt(disc) if disc > 0 else -1
-        if s * s == disc:
-            return [T - Fraction(-b - s, 2 * a), T - Fraction(-b + s, 2 * a)]
-    elif len(hs) > 3:
-        out: list[Polynomial] = []
-        for r in _lifted_roots(hs):
-            rest = _divide(hs, [-r.numerator, r.denominator])
-            if rest is not None:
-                out.append(T - r)
-                hs = rest
-        return out + _factor_rootless(_monic(hs))
-    return [_monic(hs)]
+        roots = [_primitive([b + s, 2 * a])] if s * s == disc else []
+    bases = []
+    for ps in roots:
+        if (rest := _divide(hs, ps)) is not None:
+            bases.append(_from_primitive(ps))
+            hs = rest
+    if len(hs) > 1:
+        bases += _factor_rootless(_from_primitive(hs))
+    out = []
+    for base in bases:  # g = 1 takes no division
+        v, g = _deflate(_integer_model(base)[0], g) if len(g) > 1 else (0, g)
+        out.append((base, v + 1))
+    return sorted(out, key=lambda fe: fe[0].sort_key())
 
 
-def _lifted_roots(hs: list[int]) -> list[Fraction]:
-    """Candidates among which are all rational roots of a squarefree hs.
+def _lifted_roots(hs: list[int]) -> list[list[int]]:
+    """Bases [-a, b] among which is b t - a for each root a/b of squarefree hs.
 
     hs is primitive with a positive lead and degree at least 2.  A root
     a/b in lowest terms has b | lead, and |a/b| is at most Cauchy's bound
@@ -750,7 +752,7 @@ def _lifted_roots(hs: list[int]) -> list[Fraction]:
             step = _eval_mod(hs, x, m) * pow(_eval_mod(dhs, x, m), -1, m)
             x = (x - step) % m
         c = lead * x % m
-        out.append(Fraction(c - m if 2 * c > m else c, lead))
+        out.append(_primitive([m - c if 2 * c > m else -c, lead]))
     return out
 
 
@@ -768,15 +770,13 @@ def _small_primes() -> Iterator[int]:
 
 
 def _factor_rootless(h: Polynomial) -> list[Polynomial]:
-    """Factor a monic squarefree polynomial with no rational roots.
+    """Factor a monic squarefree polynomial, linear or with no rational root.
 
-    Degrees 2 and 3 are irreducible outright.  From degree 4 on, any
+    Degrees 1 to 3 are irreducible outright.  From degree 4 on, any
     proper factor g of the primitive integer model H satisfies
     g(x) | H(x) at every integer x, so searching divisor tuples at
     deg(g) + 1 points and interpolating is exhaustive.
     """
-    if h.degree <= 0:
-        return []
     if h.degree <= 3:
         return [h]
     split = _divisor_interpolation_split(h)

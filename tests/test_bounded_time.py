@@ -229,6 +229,19 @@ def test_low_degree_factors_match_sympy(f):
     assert dict(poly_factor(f).factors) == bases
 
 
+def test_high_multiplicities():
+    # Degree 507 with coefficients of hundreds of digits: gcd(H, H') has
+    # degree 503, and every multiplicity is counted by dividing it.
+    f = (T - 1) ** 300 * (T + 2) ** 100 * (T**2 + 1) ** 50 * (3 * T - 5) ** 7
+    with _Budget() as budget:
+        result = poly_factor(f)
+    assert budget.elapsed < 1.0
+    assert result == Factorization(
+        Fraction(3**7),
+        ((T - Fraction(5, 3), 7), (T - 1, 300), (T + 2, 100), (T**2 + 1, 50)),
+    )
+
+
 @pytest.mark.parametrize(
     "p, q, expected",
     [

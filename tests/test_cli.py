@@ -755,14 +755,14 @@ def test_warm_verify_factors_no_constant(capsys, monkeypatch):
     # polynomials reach the factor search.
     assert run(capsys, "verify")[0] == 0
     degrees = []
-    original = exactalg._factor_squarefree
+    original = exactalg._factor_model
 
     def counting(model):
-        # the primitive integer model of the squarefree part, lowest first
+        # the primitive integer model, lowest degree first
         degrees.append(len(model) - 1)
         return original(model)
 
-    monkeypatch.setattr(exactalg, "_factor_squarefree", counting)
+    monkeypatch.setattr(exactalg, "_factor_model", counting)
     assert run(capsys, "verify")[0] == 0
     assert degrees
     assert 0 not in degrees

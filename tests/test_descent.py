@@ -6,7 +6,6 @@ swapping it flips which Hilbert symbols appear at the distinguished two
 adic point and breaks the exactness checks there.
 """
 
-import sys
 from collections import Counter
 
 import pytest
@@ -182,7 +181,7 @@ class TestTorsionImagesFromFactors:
         p, q = SPLIT_CURVES[index]
         p, q = RationalFunction.coerce(p), RationalFunction.coerce(q)
         # The target is built from the curve's factors, which are divided
-        # out of it: only the cofactors are left for poly_factor.
+        # out of it: only the cofactors are left for the factor search.
         cofactors = (T + 5, (T - 11) * (T**2 + 3))
         f = 7 * (p - q) * cofactors[0]
         g = q * q * p * cofactors[1]
@@ -243,7 +242,7 @@ class TestTorsionImagesFromFactors:
         def reaching_h() -> int:
             return sum(n for poly, n in factor_calls.items() if (poly % h).is_zero())
 
-        # Factoring f and g whole would hand h to poly_factor three times.
+        # Factoring f and g whole would hand h to the search three times.
         curve = WeierstrassCurve.from_split(p, q)
         result = transcendence_test(f, g, curve, mw_rank_bound=0)
         assert result.verdict is TranscendenceVerdict.ALGEBRAIC_OVER_C
@@ -257,20 +256,16 @@ class TestTorsionImagesFromFactors:
 
 @pytest.fixture
 def factor_calls(monkeypatch) -> Counter:
-    """poly_factor calls by monic argument, wherever the package calls it."""
-    modules = [
-        m for name, m in sys.modules.items()
-        if name.startswith("ellbrauer") and hasattr(m, "poly_factor")
-    ]
-    original = exactalg.poly_factor
+    """Factor searches by monic argument: poly_factor and the cofactor step
+    of factor_over both hand a primitive integer model to _factor_model."""
+    original = exactalg._factor_model
     calls = Counter()
 
-    def counting(poly):
-        calls[poly.monic()] += 1
-        return original(poly)
+    def counting(model):
+        calls[Polynomial(model).monic()] += 1
+        return original(model)
 
-    for module in modules:
-        monkeypatch.setattr(module, "poly_factor", counting)
+    monkeypatch.setattr(exactalg, "_factor_model", counting)
     return calls
 
 

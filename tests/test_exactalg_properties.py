@@ -3,9 +3,10 @@
 Evaluation against a Fraction Horner loop, poly_gcd against the Fraction
 Euclid loop it replaced, rational roots against the divisor search of the
 end coefficients that p-adic lifting replaced, poly_factor against
-sympy's factor_list when sympy is installed, rational function arithmetic
-against Fraction arithmetic at sample points, and the hash against
-equality across ints, Fractions, polynomials and rational functions.
+sympy's factor_list when sympy is installed, and its multiplicities
+against valuations, rational function arithmetic against Fraction
+arithmetic at sample points, and the hash against equality across ints,
+Fractions, polynomials and rational functions.
 """
 
 from fractions import Fraction
@@ -24,10 +25,13 @@ from ellbrauer.exactalg import (  # noqa: E402
     Polynomial,
     RationalFunction,
     T,
+    _integer_model,
     _lifted_roots,
+    factor_over,
     poly_factor,
     poly_gcd,
 )
+from ellbrauer.funcfield import Place, valuation  # noqa: E402
 
 
 def horner_reference(coeffs, x):
@@ -142,7 +146,7 @@ def test_rational_roots_match_the_divisor_search(linear, cofactor):
     assert found == expected
     if f.degree >= 2 and poly_gcd(f, f.derivative()) == ONE:
         candidates = _lifted_roots(primitive_model(f))
-        assert expected <= set(candidates)
+        assert expected <= {Fraction(-a, b) for a, b in candidates}
         assert len(candidates) <= f.degree
 
 
@@ -175,26 +179,107 @@ def large_end_products(draw):
     return _product(factors) * draw(end_coefficients)
 
 
+def _sympy_factors(f: Polynomial, sympy) -> tuple[Fraction, dict]:
+    """sympy's factor_list of f as the leading coefficient and a dict from
+    monic bases to exponents."""
+    t = sympy.Symbol("t")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * t**i
+        for i, c in enumerate(f.coeffs)
+    )
+    unit, expected = sympy.factor_list(expr, t)
+    lead, bases = Fraction(str(unit)), {}
+    for base, e in expected:
+        coeffs = sympy.Poly(base, t).all_coeffs()[::-1]
+        prim = Polynomial([Fraction(str(c)) for c in coeffs])
+        lead *= prim.leading() ** e
+        bases[prim.monic()] = bases.get(prim.monic(), 0) + e
+    return lead, bases
+
+
 def test_factors_with_large_end_coefficients_match_sympy():
     sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
 
     @settings(deadline=None, max_examples=60)
     @given(large_end_products())
     def check(f):
-        expr = sum(int(c) * t**i for i, c in enumerate(f.coeffs))
-        unit, expected = sympy.factor_list(expr, t)
-        bases = {}
-        for base, e in expected:
-            coeffs = sympy.Poly(base, t).all_coeffs()[::-1]
-            monic = Polynomial([Fraction(str(c)) for c in coeffs]).monic()
-            bases[monic] = bases.get(monic, 0) + e
+        lead, bases = _sympy_factors(f, sympy)
         fac = poly_factor(f)
-        assert fac.unit == f.leading()
+        assert fac.unit == f.leading() == lead
         assert dict(fac.factors) == bases
         assert len(fac.factors) == len(bases)
 
     check()
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def repeated_products(draw):
+    """(f, parts): f is content * prod(base^e) over the parts (base, e).
+
+    The bases have rational coefficients and multiplicities 1 to 4: linear
+    ones, and at most one of degree 2 or 3, so that what has no rational
+    root has degree at most 3 and the Kronecker split never runs.  The
+    content is a rational number, seldom a unit.
+    """
+    degrees = [1] * draw(st.integers(0, 3))
+    degrees += draw(st.lists(st.sampled_from([2, 3]), max_size=1))
+    parts = []
+    for degree in degrees:
+        lead = draw(small_fractions.filter(bool))
+        base = Polynomial([draw(small_fractions) for _ in range(degree)] + [lead])
+        parts.append((base, draw(st.integers(1, 4))))
+    hypothesis.assume(parts)
+    content = draw(
+        st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 7))
+    )
+    return _product(base**e for base, e in parts) * content, parts
+
+
+def test_repeated_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(deadline=None, max_examples=80)
+    @given(repeated_products())
+    def check(drawn):
+        f, _ = drawn
+        lead, bases = _sympy_factors(f, sympy)
+        fac = poly_factor(f)
+        assert fac.unit == lead
+        assert dict(fac.factors) == bases
+        assert len(fac.factors) == len(bases)
+
+    check()
+
+
+@settings(deadline=None, max_examples=80)
+@given(repeated_products())
+def test_multiplicities_are_valuations(drawn):
+    # The exponents come from gcd(H, H'); the valuations from deflating f
+    # by each base, a second route to the same numbers.
+    f, _ = drawn
+    for base, e in poly_factor(f).factors:
+        assert valuation(Place(base), f) == e
+
+
+@settings(deadline=None, max_examples=80)
+@given(repeated_products())
+def test_factors_keep_the_models_they_would_build(drawn):
+    # A base built from integers keeps its integer model from the start;
+    # deflate_at, valuations and residues read it, so it must be the one
+    # that the Fractions of the base give.
+    f, parts = drawn
+    known = [base for base, _ in poly_factor(parts[0][0]).factors]
+    bases = [
+        base
+        for fac in (poly_factor(f), factor_over(f * (2 * T + 7), known))
+        for base, _ in fac.factors
+    ]
+    for h in bases + [poly_gcd(f, f.derivative())]:
+        assert h.leading() == 1
+        assert _integer_model(h) == _integer_model(Polynomial(h.coeffs))
 
 
 # Elements of Q(t) of small height, so that equal ones turn up often.
