@@ -45,6 +45,10 @@ class DegeneratePointError(ValueError):
     """Raised when a symbol entry and its substitute both vanish at a point."""
 
 
+class OffSurfaceError(ValueError):
+    """Raised for a point that is not on the surface over its completion."""
+
+
 @lru_cache(maxsize=1)
 def reference_curve() -> SplitCurve:
     """The split curve with p = 3(t-1)^3(t+3) and q(t) = p(-t)."""
@@ -155,14 +159,14 @@ def _entry_values(cls: BrauerClass, t0: Fraction) -> tuple[int | None, ...]:
 def evaluate_local(cls: BrauerClass, point: SurfacePoint) -> Fraction:
     """Local invariant of the class at the point: 0 or 1/2 in Q/Z.
 
-    Raises ValueError if the point is not on the curve over its
+    Raises OffSurfaceError if the point is not on the surface over its
     completion, and DegeneratePointError if the value is undetermined.
     """
     if point.at_zero_section:
         return Fraction(0)
     coords = _point_coordinates(cls.curve, point)
     if coords is None:
-        raise ValueError(f"{point} is not on the curve over its completion")
+        raise OffSurfaceError(f"{point} is not on the surface over its completion")
     entries = _entry_values(cls, point.t0)
     return _invariant(cls, entries, point.t0, coords, point.place.p)
 

@@ -13,10 +13,12 @@ Exit codes:
         degenerate evaluation point)
 
 Each command returns its lines and exit code, and `main` alone prints.
-An error reaches its exit code through one table, `_EXITS`:
-DegeneratePointError exits 3 ("undetermined: ..." on stderr),
-ClassificationError 1, and SingularCurveError and
-argparse.ArgumentTypeError 2 ("error: ...").  Other exceptions propagate.
+An error reaches its exit code through one table, `_EXITS`, with six
+rows: DegeneratePointError exits 3 ("undetermined: ..." on stderr),
+ClassificationError 1, and SingularCurveError, OffSurfaceError (a point
+off the surface), ZeroArgumentError (a zero Hilbert symbol argument) and
+argparse.ArgumentTypeError 2 ("error: ...").  No command catches an
+error; other exceptions propagate.
 
 Polynomial arguments use a small expression grammar over the variable t:
 
@@ -51,7 +53,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,6 +60,7 @@ from .brauer import (
     REFERENCE_PAIR,
     AdelicPointSpec,
     DegeneratePointError,
+    OffSurfaceError,
     SamplingReport,
     SurfacePoint,
     adelic_pairing,
@@ -74,7 +76,7 @@ from .elliptic import (
     classify_surface,
 )
 from .exactalg import Polynomial, T, coefficient_bits
-from .hilbert import REAL, RationalPlace, hilbert_symbol
+from .hilbert import REAL, RationalPlace, ZeroArgumentError, hilbert_symbol
 from .pipeline import TORSION_POINTS, reference_checks
 from .residues import QtBrauerClass, check_unramified_P1
 from .squareclass import FieldMode, independent
@@ -425,10 +427,7 @@ def _cmd_transcendence(args: argparse.Namespace) -> Output:
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> Output:
-    try:
-        value = hilbert_symbol(args.a, args.b, args.place)
-    except ValueError as exc:  # a zero argument
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    value = hilbert_symbol(args.a, args.b, args.place)
     label = f"({args.a}, {args.b})_{args.place}"
     lines = [_line(label, "symbol", value), _line("invariant", "invariant", value.inv)]
     return lines, EXIT_OK
@@ -449,23 +448,9 @@ def _point_from_args(
     return SurfacePoint.affine(x, t, args.place)
 
 
-@contextmanager
-def _on_surface(point: SurfacePoint):
-    """A point off the surface (evaluate_local's plain ValueError) exits 2."""
-    try:
-        yield
-    except DegeneratePointError:
-        raise
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"{point} is not on the surface over its completion"
-        ) from exc
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> Output:
     point = _point_from_args(args)
-    with _on_surface(point):
-        inv = evaluate_local(reference_class(), point)
+    inv = evaluate_local(reference_class(), point)
     lines = [_line("point", "point", point), _line("invariant", "invariant", inv)]
     return lines, EXIT_OK
 
@@ -473,8 +458,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> Output:
 def _cmd_obstruct(args: argparse.Namespace) -> Output:
     point = _point_from_args(args, Fraction(1), Fraction(2))
     spec = AdelicPointSpec(() if point.at_zero_section else (point,))
-    with _on_surface(point):
-        report = adelic_pairing(reference_class(), spec)
+    report = adelic_pairing(reference_class(), spec)
     lines = [
         _line(f"invariant at {place}", f"invariant.{place}", inv)
         for place, inv in report.evaluations
@@ -687,6 +671,8 @@ _EXITS: dict[type[Exception], tuple[str, int]] = {
     DegeneratePointError: ("undetermined", EXIT_UNDETERMINED),
     ClassificationError: ("error", EXIT_FAIL),
     SingularCurveError: ("error", EXIT_USAGE),
+    OffSurfaceError: ("error", EXIT_USAGE),
+    ZeroArgumentError: ("error", EXIT_USAGE),
     argparse.ArgumentTypeError: ("error", EXIT_USAGE),
 }
 

@@ -21,9 +21,11 @@ degree 1 and a polynomial of lower degree than the place above it),
 
 A polynomial builds its integer model on first use and keeps it, as it
 keeps its hash.  Evaluation at a rational a/b runs Horner's rule on that
-model, carrying the powers of b along, so a single Fraction, the integer
-sum over D * b^deg, is normalised per call.  A rational function with a
-constant (hence unit) denominator is evaluated as its numerator.
+model, carrying the powers of b along (``_horner``, which also gives
+``deflate_at`` its residue at a degree-1 place), so a single Fraction,
+the integer sum over D * b^deg, is normalised per call.  A rational
+function with a constant (hence unit) denominator is evaluated as its
+numerator.
 
 Factorization over Q works on the primitive integer model H of f and on
 g = gcd(H, H') in Z[t], from the primitive remainder sequence.  The
@@ -231,13 +233,8 @@ class Polynomial:
         """
         x = _frac(x)
         ns, den = _integer_model(self)
-        a, b = x.numerator, x.denominator
-        acc = 0
-        b_pow = 1
-        for n in reversed(ns):
-            acc = acc * a + n * b_pow
-            b_pow *= b
-        return Fraction(acc, den * b ** max(len(ns) - 1, 0))
+        b = x.denominator
+        return Fraction(_horner(ns, x.numerator, b), den * b ** max(len(ns) - 1, 0))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitute inner for t."""
@@ -298,6 +295,15 @@ def _integer_model(poly: Polynomial) -> tuple[tuple[int, ...], int]:
     return poly._model
 
 
+def _horner(ns: _Ints, a: int, b: int) -> int:
+    """b^m * N(a/b) for N = ns of degree m, by Horner's rule on integers."""
+    acc, b_pow = 0, 1
+    for n in reversed(ns):
+        acc = acc * a + n * b_pow
+        b_pow *= b
+    return acc
+
+
 def _divide(ns: _Ints, ps: _Ints) -> list[int] | None:
     """ns / P in Z[t] when P = ps divides nonzero ns, else None.
 
@@ -345,8 +351,8 @@ def deflate_at(
     """v = v(num) - v(den) at pi, and on call the residue of num/den * pi^-v.
 
     pi is monic and nonconstant, num and den nonzero.  The residue of poly
-    is that of w = poly * pi^-v(poly): w(r) at pi = t - r, by Horner's
-    rule on integers, and w mod pi above degree 1.  With integer models
+    is that of w = poly * pi^-v(poly): w(r) at pi = t - r, by ``_horner``
+    on integers, and w mod pi above degree 1.  With integer models
     P = lead * pi, built once for both, and N = D * poly = P^v * quot in
     Z[t], w = quot * lead^v / D.  At degree 1 the two residues are
     divided; above it a constant denominator residue is inverted as a
@@ -360,11 +366,7 @@ def deflate_at(
             return poly if len(ps) > 2 else poly.as_constant()
         if len(ps) > 2:
             return Polynomial(quot) % pi * Fraction(lead**v, d)
-        # Horner over r and powers of s gives s^m * quot(r/s).
-        r, acc, s_pow = -ps[0], 0, 1
-        for c in reversed(quot):
-            acc = acc * r + c * s_pow
-            s_pow *= lead
+        acc = _horner(quot, -ps[0], lead)
         return Fraction(acc * lead**v, d * lead ** (len(quot) - 1))
 
     def residue() -> _Residue:

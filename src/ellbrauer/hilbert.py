@@ -14,14 +14,15 @@ omega(u) = (u^2-1)/8 taken mod 2,
 Both sides depend only on the square classes of a and b, so the symbol and
 the square test run on integers: a rational n/d is represented by n*d,
 which differs from it by the square d^2.  The public functions accept int
-or Fraction (a float raises TypeError, since 0.1 is not 1/10) and pass
-n*d to private integer kernels, which brauer also calls directly with the
-representatives it builds for points of the surface.  Valuations and unit
-parts come from repeated division, without factoring, so the arguments
-may be large; at p = 2 the unit is read mod 8, where every odd square is
-1.  Legendre symbols are Jacobi symbols computed by quadratic reciprocity
-(Cohen, GTM 138, 1.4), and a place's prime is checked once, when the
-place is built.
+or Fraction (a float raises TypeError, since 0.1 is not 1/10, and a zero
+raises ZeroArgumentError, a ValueError) and pass n*d to private integer
+kernels, which brauer also calls directly with the representatives it
+builds for points of the surface.  Valuations and unit parts come from
+repeated division, without factoring, so the arguments may be large;
+at p = 2 the unit is read mod 8, where every odd square is 1.  Legendre
+symbols are Jacobi symbols computed by quadratic reciprocity (Cohen,
+GTM 138, 1.4), and a place's prime is checked once, when the place is
+built.
 
 Primality is decided by trial division by the primes 2..41, then by strong
 Miller-Rabin tests to those 13 bases, which is exact below
@@ -41,6 +42,10 @@ from ._valueclass import value_class
 from .exactalg import _frac, int_factor
 
 Rat = Union[int, Fraction]
+
+
+class ZeroArgumentError(ValueError):
+    """Raised when a symbol, square test or product formula gets a zero."""
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -262,10 +267,10 @@ def _is_square(a: int, p: int | None) -> bool:
 
 
 def hilbert_symbol(a: Rat, b: Rat, place: RationalPlace) -> SymbolValue:
-    """The Hilbert symbol (a, b) at a place of Q; a and b must be nonzero."""
+    """The Hilbert symbol (a, b) at a place of Q; a zero raises ZeroArgumentError."""
     a, b = _square_class(a), _square_class(b)
     if a == 0 or b == 0:
-        raise ValueError("Hilbert symbols require nonzero arguments")
+        raise ZeroArgumentError("Hilbert symbols require nonzero arguments")
     return SymbolValue(_symbol_sign(a, b, place.p))
 
 
@@ -273,7 +278,7 @@ def qp_is_square(a: Rat, place: RationalPlace) -> bool:
     """Whether a nonzero rational is a square in the completion at the place."""
     a = _square_class(a)
     if a == 0:
-        raise ValueError("square testing applies to nonzero elements")
+        raise ZeroArgumentError("square testing applies to nonzero elements")
     return _is_square(a, place.p)
 
 
@@ -297,7 +302,7 @@ def product_formula_check(a: Rat, b: Rat) -> ProductFormulaReport:
     """
     a, b = _frac(a), _frac(b)
     if a == 0 or b == 0:
-        raise ValueError("product formula applies to nonzero arguments")
+        raise ZeroArgumentError("product formula applies to nonzero arguments")
     primes: set[int] = {2}
     for x in (a, b):
         for n in (x.numerator, x.denominator):

@@ -119,10 +119,10 @@ class ResidueVerdict:
 
 
 def tame_symbol(place: Place, f, g) -> ResidueVerdict:
-    """Tame residue of the symbol (f, g) at a place of the t-line."""
-    f, g = RationalFunction.coerce(f), RationalFunction.coerce(g)
-    if f.is_zero() or g.is_zero():
-        raise ValueError("tame symbols require nonzero entries")
+    """Tame residue of the symbol (f, g) at a place of the t-line.
+
+    QtBrauerClass coerces f and g and refuses a zero entry.
+    """
     return residue_of_class(QtBrauerClass([(f, g)]), place)
 
 

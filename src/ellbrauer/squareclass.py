@@ -150,12 +150,11 @@ def _as_tuple(v: Union[SquareClassVector, Sequence[SquareClassVector]]) -> Class
     return tuple(v)
 
 
-def _masks(
-    target: ClassTuple, generators: Sequence[ClassTuple]
-) -> tuple[int, list[int]]:
-    width = len(target)
-    mode = target[0].mode if target else None
-    for vec in (target, *generators):
+def _masks(vecs: Sequence[ClassTuple]) -> list[int]:
+    """Each class tuple as a bit mask over the (block, coordinate) pairs met."""
+    width = len(vecs[0]) if vecs else 0
+    mode = vecs[0][0].mode if width else None
+    for vec in vecs:
         if len(vec) != width:
             raise ValueError("all class tuples must have the same length")
         for comp in vec:
@@ -173,13 +172,20 @@ def _masks(
                 m |= 1 << index[key]
         return m
 
-    gen_masks = [mask(g) for g in generators]
-    return mask(target), gen_masks
+    return [mask(vec) for vec in vecs]
 
 
-def _solve_f2(target: int, gens: Sequence[int]) -> list[int] | None:
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, row, combination)
-    for idx, row in enumerate(gens):
+def _eliminate(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """Gaussian elimination over F2, one row at a time, in order.
+
+    Each row is reduced by the pivots of the rows before it and comes back
+    as (rest, combination): the combination is the bit mask of the rows,
+    itself included, whose sum is rest.  A rest of 0 puts the row in the
+    span of the rows before it.
+    """
+    pivots: list[tuple[int, int, int]] = []  # (pivot bit, rest, combination)
+    out = []
+    for idx, row in enumerate(rows):
         combo = 1 << idx
         for bit, prow, pcombo in pivots:
             if (row >> bit) & 1:
@@ -187,14 +193,8 @@ def _solve_f2(target: int, gens: Sequence[int]) -> list[int] | None:
                 combo ^= pcombo
         if row:
             pivots.append((row.bit_length() - 1, row, combo))
-    combo = 0
-    for bit, prow, pcombo in pivots:
-        if (target >> bit) & 1:
-            target ^= prow
-            combo ^= pcombo
-    if target:
-        return None
-    return [(combo >> i) & 1 for i in range(len(gens))]
+        out.append((row, combo))
+    return out
 
 
 def in_span(
@@ -205,25 +205,23 @@ def in_span(
 
     Returns (True, coefficients) with an explicit certificate, or
     (False, None).  Components are compared blockwise, so pairs stay
-    pairs and never mix coordinates.
+    pairs and never mix coordinates.  The target is eliminated as one
+    more row after the generators; its combination, without its own
+    bit, is the certificate.
     """
-    t = _as_tuple(target)
-    gens = [_as_tuple(g) for g in generators]
-    tmask, gmasks = _masks(t, gens)
-    combo = _solve_f2(tmask, gmasks)
-    if combo is None:
+    rows = _masks([*map(_as_tuple, generators), _as_tuple(target)])
+    rest, combo = _eliminate(rows)[-1]
+    if rest:
         return False, None
-    return True, combo
+    return True, [(combo >> i) & 1 for i in range(len(rows) - 1)]
 
 
 def independent(
     vectors: Sequence[Union[SquareClassVector, Sequence[SquareClassVector]]],
 ) -> bool:
-    """Whether no nonempty subset of the given class tuples sums to zero."""
-    vecs = [_as_tuple(v) for v in vectors]
-    if not vecs:
-        return True
-    zero = tuple(SquareClassVector.zero(c.mode) for c in vecs[0])
-    _, gmasks = _masks(zero, vecs)
-    # Dependent exactly when some vector lies in the span of those before it.
-    return all(_solve_f2(row, gmasks[:i]) is None for i, row in enumerate(gmasks))
+    """Whether no nonempty subset of the given class tuples sums to zero.
+
+    One elimination over the tuples in order: they are dependent exactly
+    when some tuple reduces to zero against those before it.
+    """
+    return all(rest for rest, _ in _eliminate(_masks([_as_tuple(v) for v in vectors])))

@@ -17,6 +17,7 @@ from ellbrauer.brauer import (
     REFERENCE_PAIR,
     AdelicPointSpec,
     DegeneratePointError,
+    OffSurfaceError,
     SamplingReport,
     SurfacePoint,
     adelic_pairing,
@@ -181,8 +182,11 @@ class TestEvaluateLocal:
             assert evaluate_local(cls, SurfacePoint.zero_section(place)) == 0
 
     def test_point_not_on_curve_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_local(reference_class(), SurfacePoint.affine(2, 2, RationalPlace.prime(5)))
+        point = SurfacePoint.affine(2, 2, RationalPlace.prime(5))
+        with pytest.raises(OffSurfaceError, match="not on the surface over its completion"):
+            evaluate_local(reference_class(), point)
+        assert issubclass(OffSurfaceError, ValueError)
+        assert not issubclass(OffSurfaceError, DegeneratePointError)
 
     def test_symbol_entry_zero_is_degenerate(self):
         # 6t(t+1) vanishes at t = 0; the representative cannot decide

@@ -35,6 +35,7 @@ from ellbrauer.hilbert import (
     ProductFormulaReport,
     RationalPlace,
     SymbolValue,
+    ZeroArgumentError,
     _jacobi,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
@@ -215,7 +216,7 @@ class TestKnownValues:
         assert hilbert_symbol(Fraction(1, 3), Fraction(-5, 7), REAL).sign == 1
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroArgumentError, match="require nonzero arguments"):
             hilbert_symbol(0, 3, REAL)
 
     @pytest.mark.parametrize("a, b", [(0.5, 3), (3, 0.5), (2.0, 3)])
@@ -298,7 +299,7 @@ class TestQpIsSquare:
         assert not qp_is_square(-1, REAL)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroArgumentError, match="nonzero elements"):
             qp_is_square(0, REAL)
 
     @pytest.mark.parametrize("place", [REAL, RationalPlace.prime(2)])
@@ -459,6 +460,12 @@ class TestProductFormula:
         report = product_formula_check(Fraction(-3, 2), 10)
         names = {str(place) for place, _ in report.symbols}
         assert {"real", "2", "3", "5"} <= names
+
+    @pytest.mark.parametrize("a, b", [(0, 3), (Fraction(5, 2), 0)])
+    def test_zero_rejected(self, a, b):
+        with pytest.raises(ZeroArgumentError, match="nonzero arguments"):
+            product_formula_check(a, b)
+        assert issubclass(ZeroArgumentError, ValueError)
 
     def test_random_pairs(self):
         rng = random.Random(83)

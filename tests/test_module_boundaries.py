@@ -13,7 +13,9 @@ an underscore name of funcfield.
 
 The package calls ``print`` in one place: each CLI command returns its
 lines and exit code, and ``cli.main`` prints them, or for an error the
-line of its exit table.
+line of its exit table.  No command (``cli._cmd_*``) holds a ``try`` or
+``with`` statement, so a new error reaches its exit code by a new row of
+that table, never by a command catching it.
 
 A private slot (``_name``) is written only by the module whose class
 declares it in ``__slots__``: what a curve or polynomial keeps about
@@ -25,6 +27,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellbrauer"
 MODEL_NAMES = {"_integer_model", "_divide", "_deflate"}
+# Statements that can catch an error; TryStar exists from Python 3.11 on.
+CATCHING = tuple(
+    getattr(ast, name) for name in ("Try", "TryStar", "With") if hasattr(ast, name)
+)
 
 
 def _defined(tree: ast.AST) -> set[str]:
@@ -113,6 +119,23 @@ def test_only_cli_main_prints():
         for scope in _print_callers(tree)
     }
     assert callers == {"cli.main"}
+
+
+def test_no_cli_command_catches():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(commands) >= 8
+    catching = sorted(
+        command.name
+        for command in commands
+        for node in ast.walk(command)
+        if isinstance(node, CATCHING)
+    )
+    assert catching == []
 
 
 def _declared_slots(tree: ast.AST) -> set[str]:

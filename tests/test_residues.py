@@ -64,6 +64,11 @@ class TestTameSymbol:
         assert verdict.kind is Verdict.CLASS
         assert verdict.is_trivial() is True
 
+    @pytest.mark.parametrize("f, g", [(0, T), (T, Polynomial()), (RationalFunction(0), 3)])
+    def test_zero_entry_rejected(self, f, g):
+        with pytest.raises(ValueError, match="nonzero entries"):
+            tame_symbol(Place.finite(T), f, g)
+
     def test_infinity_place(self):
         # v_inf(t) = -1, v_inf(t^2+1) = -2: only the parity matters
         verdict = tame_symbol(INFINITY, T, T**2 + 1)

@@ -176,6 +176,21 @@ class TestSpan:
         member, combo = in_span(target, [a])
         assert not member and combo is None
 
+    def test_empty_generators(self):
+        assert in_span(SquareClassVector.zero(QT), []) == (True, [])
+        assert in_span(class_of(RationalFunction(T), QT), []) == (False, None)
+
+    def test_mismatched_tuples_rejected(self):
+        a, b = class_of(RationalFunction(T), CT), class_of(RationalFunction(T), QT)
+        with pytest.raises(ValueError, match="same length"):
+            in_span((a, a), [(a,)])
+        with pytest.raises(ValueError, match="same length"):
+            independent([(a,), (a, a)])
+        with pytest.raises(ValueError, match="mixed field modes"):
+            in_span(a, [b])
+        with pytest.raises(ValueError, match="mixed field modes"):
+            independent([(a, b)])
+
 
 class TestIndependence:
     def test_matches_enumeration_random(self):
