@@ -210,9 +210,7 @@ class AdelicPointSpec:
 
 def reference_adelic_point() -> AdelicPointSpec:
     """Zero section away from 2; (x, t) = (1, 2) in the fiber at t = 2 over Q_2."""
-    return AdelicPointSpec(
-        (SurfacePoint.affine(1, 2, RationalPlace.prime(2)),)
-    )
+    return AdelicPointSpec((SurfacePoint.affine(1, 2, RationalPlace.prime(2)),))
 
 
 @value_class

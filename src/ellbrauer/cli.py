@@ -13,12 +13,13 @@ Exit codes:
         degenerate evaluation point)
 
 Each command returns its lines and exit code, and `main` alone prints.
-An error reaches its exit code through one table, `_EXITS`, with six
-rows: DegeneratePointError exits 3 ("undetermined: ..." on stderr),
-ClassificationError 1, and SingularCurveError, OffSurfaceError (a point
-off the surface), ZeroArgumentError (a zero Hilbert symbol argument) and
-argparse.ArgumentTypeError 2 ("error: ...").  No command catches an
-error; other exceptions propagate.
+A checked property that holds, fails or is undecided reaches its exit
+code through one table, `_VERDICT_EXITS`, and an error through another,
+`_EXITS`, with six rows: DegeneratePointError exits 3 ("undetermined:
+..." on stderr), ClassificationError 1, and SingularCurveError,
+OffSurfaceError (a point off the surface), ZeroArgumentError (a zero
+Hilbert symbol argument) and argparse.ArgumentTypeError 2 ("error:
+...").  No command catches an error; other exceptions propagate.
 
 Polynomial arguments use a small expression grammar over the variable t:
 
@@ -65,6 +66,7 @@ from .brauer import (
     SurfacePoint,
     adelic_pairing,
     evaluate_local,
+    reference_adelic_point,
     reference_class,
     reference_curve,
 )
@@ -85,6 +87,14 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
+
+# The exit code of a checked property that holds, fails or is undecided,
+# given as a bool or None, or as a verdict of the transcendence test.
+_VERDICT_EXITS = {
+    True: EXIT_OK, TranscendenceVerdict.TRANSCENDENTAL: EXIT_OK,
+    False: EXIT_FAIL, TranscendenceVerdict.ALGEBRAIC_OVER_C: EXIT_FAIL,
+    None: EXIT_UNDETERMINED, TranscendenceVerdict.UNKNOWN: EXIT_UNDETERMINED,
+}
 
 _MAX_EXPONENT = 512
 # Checked before a product or power is expanded, so that nested powers
@@ -382,9 +392,7 @@ def _cmd_residues(args: argparse.Namespace) -> Output:
     overall = report.overall
     shown = "undetermined" if overall is None else overall
     lines.append(_line("unramified over the projective line", "unramified", shown))
-    if overall is None:
-        return lines, EXIT_UNDETERMINED
-    return lines, EXIT_OK if overall else EXIT_FAIL
+    return lines, _VERDICT_EXITS[overall]
 
 
 _MODES = {
@@ -417,13 +425,8 @@ def _cmd_transcendence(args: argparse.Namespace) -> Output:
     ]
     if result.combination is not None:
         lines.append(_line("combination", "combination", result.combination))
-    if result.reason:
-        lines.append(_line("reason", "reason", result.reason))
-    if result.verdict is TranscendenceVerdict.TRANSCENDENTAL:
-        return lines, EXIT_OK
-    if result.verdict is TranscendenceVerdict.ALGEBRAIC_OVER_C:
-        return lines, EXIT_FAIL
-    return lines, EXIT_UNDETERMINED
+    lines.append(_line("reason", "reason", result.reason))
+    return lines, _VERDICT_EXITS[result.verdict]
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> Output:
@@ -456,7 +459,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> Output:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> Output:
-    point = _point_from_args(args, Fraction(1), Fraction(2))
+    (reference,) = reference_adelic_point().overrides
+    point = _point_from_args(args, reference.x0, reference.t0)
     spec = AdelicPointSpec(() if point.at_zero_section else (point,))
     report = adelic_pairing(reference_class(), spec)
     lines = [
@@ -468,7 +472,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> Output:
         _line("total", "total", report.total),
         _line("obstructed", "obstructed", report.obstructed),
     ]
-    return lines, EXIT_OK if report.obstructed else EXIT_FAIL
+    return lines, _VERDICT_EXITS[report.obstructed]
 
 
 def _cmd_verify(args: argparse.Namespace) -> Output:
@@ -496,7 +500,7 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
         lines.append((f"FAILED: {failures} check(s)", "result", "fail"))
     else:
         lines.append(("ALL CHECKS PASS", "result", "pass"))
-    return lines, EXIT_FAIL if failures else EXIT_OK
+    return lines, _VERDICT_EXITS[not failures]
 
 
 def _sample_place_list(text: str) -> list[RationalPlace]:
@@ -611,35 +615,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--place", type=_parse_place, required=True, help="'real' or a prime"
     )
 
-    ev = add(
+    def add_point(name: str, help_text: str, handler, zero_help: str, **place) -> None:
+        """A command on the point of --x, --t, --place and --zero-section."""
+        p = add(name, help_text, handler)
+        p.add_argument("--x", type=number_arg, default=None)
+        p.add_argument("--t", type=number_arg, default=None)
+        p.add_argument("--place", type=_parse_place, **place)
+        p.add_argument("--zero-section", action="store_true", help=zero_help)
+
+    add_point(
         "evaluate",
         "local invariant of the reference class at one point",
         _cmd_evaluate,
+        "evaluate at the zero section instead of an affine point",
+        required=True, help="'real' or a prime",
     )
-    ev.add_argument("--x", type=number_arg, default=None)
-    ev.add_argument("--t", type=number_arg, default=None)
-    ev.add_argument(
-        "--place", type=_parse_place, required=True, help="'real' or a prime"
-    )
-    ev.add_argument(
-        "--zero-section", action="store_true",
-        help="evaluate at the zero section instead of an affine point",
-    )
-
-    ob = add(
+    (reference,) = reference_adelic_point().overrides
+    add_point(
         "obstruct",
         "pair the reference class against an adelic point",
         _cmd_obstruct,
-    )
-    ob.add_argument("--x", type=number_arg, default=None)
-    ob.add_argument("--t", type=number_arg, default=None)
-    ob.add_argument(
-        "--place", type=_parse_place, default=RationalPlace.prime(2),
-        help="place of the non zero section component",
-    )
-    ob.add_argument(
-        "--zero-section", action="store_true",
-        help="use the zero section at every place",
+        "use the zero section at every place",
+        default=reference.place, help="place of the non zero section component",
     )
 
     ver = add(

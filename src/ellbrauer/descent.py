@@ -321,6 +321,10 @@ def transcendence_test(
     and g are factored over the curve's factor base of their irreducibles
     (elliptic.base_factors); only the cofactors reach poly_factor.  A zero
     f or g is reported ahead of a curve that is not split.
+
+    The verdict is unknown until a branch decides it; each branch sets
+    the reason, and the combination for a class algebraic over C.  One
+    result is built from them.
     """
     mode = FieldMode.CONSTANTS_ARE_SQUARES
     f, g = _nonzero(f), _nonzero(g)
@@ -333,36 +337,22 @@ def transcendence_test(
         descent_image(CurvePoint.two_torsion_p(), curve, mode),
         descent_image(CurvePoint.two_torsion_q(), curve, mode),
     )
+    rows = [gen.as_tuple() for gen in gens]
+    verdict, combination = TranscendenceVerdict.UNKNOWN, None
     if mw_rank_bound != 0:
-        return TranscendenceResult(
-            TranscendenceVerdict.UNKNOWN,
-            target,
-            gens,
-            None,
+        reason = (
             f"Mordell-Weil rank bound {mw_rank_bound} does not pin the "
-            "kernel of the symbol map",
+            "kernel of the symbol map"
         )
-    if not independent([g.as_tuple() for g in gens]):
-        return TranscendenceResult(
-            TranscendenceVerdict.UNKNOWN,
-            target,
-            gens,
-            None,
-            "torsion images are dependent and do not span the kernel",
-        )
-    member, combo = in_span(target.as_tuple(), [g.as_tuple() for g in gens])
-    if member:
-        return TranscendenceResult(
-            TranscendenceVerdict.ALGEBRAIC_OVER_C,
-            target,
-            gens,
-            tuple(combo),
-            "target equals the recorded combination of torsion images",
-        )
-    return TranscendenceResult(
-        TranscendenceVerdict.TRANSCENDENTAL,
-        target,
-        gens,
-        None,
-        "target lies outside the span of the torsion images",
-    )
+    elif not independent(rows):
+        reason = "torsion images are dependent and do not span the kernel"
+    else:
+        member, combo = in_span(target.as_tuple(), rows)
+        if member:
+            verdict = TranscendenceVerdict.ALGEBRAIC_OVER_C
+            combination = tuple(combo)
+            reason = "target equals the recorded combination of torsion images"
+        else:
+            verdict = TranscendenceVerdict.TRANSCENDENTAL
+            reason = "target lies outside the span of the torsion images"
+    return TranscendenceResult(verdict, target, gens, combination, reason)

@@ -230,9 +230,22 @@ def candidate_places(curve: WeierstrassCurve) -> list[Place]:
     return curve._candidate_places()
 
 
+# Kodaira's table: components and Euler number at n = 0, and whether n adds
+# to both.  I_0 is a smooth fiber, of one component.
+_KODAIRA_TABLE = {
+    "good": (1, 0, 0), "I": (0, 0, 1), "I*": (5, 6, 1),
+    "II": (1, 2, 0), "III": (2, 3, 0), "IV": (3, 4, 0),
+    "II*": (9, 10, 0), "III*": (8, 9, 0), "IV*": (7, 8, 0),
+}
+
+
 @value_class
 class KodairaType:
-    """Fiber type: kind in {good, I, II, III, IV, I*, IV*, III*, II*}."""
+    """Fiber type: kind in {good, I, II, III, IV, I*, IV*, III*, II*}.
+
+    components and euler read one table, _KODAIRA_TABLE, of each kind's
+    values at n = 0; I_n and I_n* add n to both.
+    """
 
     kind: str
     n: int = 0
@@ -256,32 +269,14 @@ class KodairaType:
     @property
     def components(self) -> int:
         """Number of irreducible components of the geometric fiber."""
-        return {
-            "good": 1,
-            "I": max(self.n, 1),
-            "II": 1,
-            "III": 2,
-            "IV": 3,
-            "I*": 5 + self.n,
-            "IV*": 7,
-            "III*": 8,
-            "II*": 9,
-        }[self.kind]
+        components, _, grows = _KODAIRA_TABLE[self.kind]
+        return max(components + grows * self.n, 1)
 
     @property
     def euler(self) -> int:
         """Contribution to the Euler number of the surface."""
-        return {
-            "good": 0,
-            "I": self.n,
-            "II": 2,
-            "III": 3,
-            "IV": 4,
-            "I*": 6 + self.n,
-            "IV*": 8,
-            "III*": 9,
-            "II*": 10,
-        }[self.kind]
+        _, euler, grows = _KODAIRA_TABLE[self.kind]
+        return euler + grows * self.n
 
     @property
     def is_multiplicative(self) -> bool:

@@ -156,20 +156,20 @@ def _check_residues() -> CheckResult:
 def _check_local_invariants() -> CheckResult:
     problems = []
     cls = reference_class()
-    two = RationalPlace.prime(2)
-    witness = SurfacePoint.affine(1, 2, two)
+    (witness,) = reference_adelic_point().overrides
     inv = evaluate_local(cls, witness)
     if inv != Fraction(1, 2):
         problems.append(f"invariant at {witness} = {inv}, expected 1/2")
-    torsion_x = reference_curve().split_p(2)
-    at_torsion = evaluate_local(cls, SurfacePoint.affine(torsion_x, 2, two))
+    t0 = witness.t0
+    torsion_x = reference_curve().split_p(t0)
+    at_torsion = evaluate_local(cls, SurfacePoint.affine(torsion_x, t0, witness.place))
     if at_torsion != 0:
         problems.append(
-            f"invariant at the two torsion section over t = 2 is {at_torsion}"
+            f"invariant at the two torsion section over t = {t0} is {at_torsion}"
         )
     evidence = [
         f"invariant {inv} at {witness}",
-        f"invariant {at_torsion} at the torsion section over t = 2",
+        f"invariant {at_torsion} at the torsion section over t = {t0}",
     ]
     return problems, evidence
 

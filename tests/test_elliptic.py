@@ -139,6 +139,31 @@ class TestKodairaClassification:
         assert KodairaType.I_star(2).components == 7
         assert KodairaType("II*").components == 9
 
+    # Kodaira's table: (components, Euler number) of I_n and I_n* at
+    # n = 0..3, and of the kinds without an index, which ignore n.
+    INDEXED = {
+        "I": [(1, 0), (1, 1), (2, 2), (3, 3)],
+        "I*": [(5, 6), (6, 7), (7, 8), (8, 9)],
+    }
+    UNINDEXED = {
+        "good": (1, 0),
+        "II": (1, 2),
+        "III": (2, 3),
+        "IV": (3, 4),
+        "IV*": (7, 8),
+        "III*": (8, 9),
+        "II*": (9, 10),
+    }
+
+    @pytest.mark.parametrize("kind", [*INDEXED, *UNINDEXED])
+    def test_components_and_euler_follow_kodairas_table(self, kind):
+        for n in range(4):
+            fiber = KodairaType(kind, n)
+            expected = (
+                self.INDEXED[kind][n] if kind in self.INDEXED else self.UNINDEXED[kind]
+            )
+            assert (fiber.components, fiber.euler) == expected, (kind, n)
+
     def test_str_forms(self):
         assert str(KodairaType.I(2)) == "I_2"
         assert str(KodairaType.I_star(0)) == "I_0*"

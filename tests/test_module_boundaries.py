@@ -15,7 +15,9 @@ The package calls ``print`` in one place: each CLI command returns its
 lines and exit code, and ``cli.main`` prints them, or for an error the
 line of its exit table.  No command (``cli._cmd_*``) holds a ``try`` or
 ``with`` statement, so a new error reaches its exit code by a new row of
-that table, never by a command catching it.
+that table, never by a command catching it.  No command names
+``EXIT_FAIL`` or ``EXIT_UNDETERMINED`` either: a verdict reaches its exit
+code through the verdict table, never by a command branching on it.
 
 A private slot (``_name``) is written only by the module whose class
 declares it in ``__slots__``: what a curve or polynomial keeps about
@@ -27,6 +29,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellbrauer"
 MODEL_NAMES = {"_integer_model", "_divide", "_deflate"}
+# Exit codes a command reaches only through cli's verdict table.
+VERDICT_EXITS = {"EXIT_FAIL", "EXIT_UNDETERMINED"}
 # Statements that can catch an error; TryStar exists from Python 3.11 on.
 CATCHING = tuple(
     getattr(ast, name) for name in ("Try", "TryStar", "With") if hasattr(ast, name)
@@ -121,7 +125,7 @@ def test_only_cli_main_prints():
     assert callers == {"cli.main"}
 
 
-def test_no_cli_command_catches():
+def _cli_commands() -> list[ast.FunctionDef]:
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     commands = [
         node
@@ -129,13 +133,27 @@ def test_no_cli_command_catches():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
     ]
     assert len(commands) >= 8
+    return commands
+
+
+def test_no_cli_command_catches():
     catching = sorted(
         command.name
-        for command in commands
+        for command in _cli_commands()
         for node in ast.walk(command)
         if isinstance(node, CATCHING)
     )
     assert catching == []
+
+
+def test_no_cli_command_chooses_a_verdict_exit():
+    choosing = sorted(
+        command.name
+        for command in _cli_commands()
+        for node in ast.walk(command)
+        if isinstance(node, ast.Name) and node.id in VERDICT_EXITS
+    )
+    assert choosing == []
 
 
 def _declared_slots(tree: ast.AST) -> set[str]:
