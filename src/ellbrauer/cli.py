@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -108,6 +109,9 @@ _MAX_DIGITS = len(str(2**_MAX_BITS))
 # Each level of parentheses costs the recursive descent four frames, so
 # this keeps deep nesting far from Python's recursion limit.
 _MAX_NESTING = 100
+# On a str, \d matches what str.isdecimal accepts (and int() reads), so a
+# run of digits is scanned in one match.
+_DIGITS = re.compile(r"\d*")
 
 
 class ExpressionError(ValueError):
@@ -138,6 +142,8 @@ class _ExprParser:
         return value
 
     def _skip_ws(self) -> None:
+        # Most calls meet no space, and one isspace() test costs less than
+        # a compiled \s* match, so this loops where _natural matches.
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
@@ -251,8 +257,7 @@ class _ExprParser:
     def _natural(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
+        self.pos = _DIGITS.match(self.text, start).end()
         if self.pos == start:
             raise ExpressionError("expected a number", self.pos)
         digits = self.text[start : self.pos].lstrip("0") or "0"

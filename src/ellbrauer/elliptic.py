@@ -244,11 +244,23 @@ class KodairaType:
     """Fiber type: kind in {good, I, II, III, IV, I*, IV*, III*, II*}.
 
     components and euler read one table, _KODAIRA_TABLE, of each kind's
-    values at n = 0; I_n and I_n* add n to both.
+    values at n = 0; I_n and I_n* add n to both.  Each fiber type has one
+    value: a kind without an index stores n = 0, and I_0 is good.  An
+    unknown kind or a negative n raises ValueError.
     """
 
     kind: str
     n: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KODAIRA_TABLE:
+            raise ValueError(f"unknown fiber kind {self.kind!r}")
+        if self.n < 0:
+            raise ValueError(f"{self.kind} index must be nonnegative")
+        if not _KODAIRA_TABLE[self.kind][2]:
+            self.__dict__["n"] = 0
+        elif self.kind == "I" and self.n == 0:
+            self.__dict__["kind"] = "good"
 
     @staticmethod
     def good() -> "KodairaType":
@@ -262,15 +274,13 @@ class KodairaType:
 
     @staticmethod
     def I_star(n: int) -> "KodairaType":
-        if n < 0:
-            raise ValueError("I* index must be nonnegative")
         return KodairaType("I*", n)
 
     @property
     def components(self) -> int:
         """Number of irreducible components of the geometric fiber."""
         components, _, grows = _KODAIRA_TABLE[self.kind]
-        return max(components + grows * self.n, 1)
+        return components + grows * self.n
 
     @property
     def euler(self) -> int:

@@ -24,12 +24,17 @@ symbols are Jacobi symbols computed by quadratic reciprocity (Cohen,
 GTM 138, 1.4), and a place's prime is checked once, when the place is
 built.
 
-Primality is decided by trial division by the primes 2..41, then by strong
-Miller-Rabin tests to those 13 bases, which is exact below
-3317044064679887385961981 ~ 3.3e24 (Sorenson & Webster 2017).  At and
-above that bound it is decided by BPSW (Baillie & Wagstaff 1980): a strong
-base-2 test and a strong Lucas test with Selfridge's parameters, which no
-known composite passes.
+Primality is decided by trial division by the 13 primes 2..41, then by
+strong Miller-Rabin tests to as many of those bases as n's size needs.
+With psi_k the least strong pseudoprime to the first k bases, those k
+bases decide every n < psi_k.  _MR_TIERS holds psi_k where it grows with
+k, from Pomerance, Selfridge & Wagstaff 1980 (psi_1..psi_4), Jaeschke 1993
+(psi_5..psi_8, with psi_7 = psi_8), Jiang & Deng 2014 (psi_9 = psi_10 =
+psi_11) and Sorenson & Webster 2017 (psi_12, and psi_13 ~ 3.3e24).  So a
+4-digit prime takes one or two bases and a 12-digit prime five.  At and
+above psi_13 primality is decided by BPSW (Baillie & Wagstaff 1980): a
+strong base-2 test and a strong Lucas test with Selfridge's parameters,
+which no known composite passes.
 """
 
 from __future__ import annotations
@@ -49,19 +54,32 @@ class ZeroArgumentError(ValueError):
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The least strong pseudoprime to all of _BASES.
-_MR_EXACT_BELOW = 3317044064679887385961981
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k of
+# _BASES, so those k decide every n < psi_k; a row where psi_k grows.
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime: exact below _MR_EXACT_BELOW, BPSW from there on."""
+    """Whether n is prime: exact below the last psi_k, BPSW from there on."""
     if n < 2:
         return False
     for b in _BASES:
         if n % b == 0:
             return n == b
-    if n < _MR_EXACT_BELOW:
-        return all(_strong_probable_prime(n, b) for b in _BASES)
+    for psi, k in _MR_TIERS:
+        if n < psi:
+            return all(_strong_probable_prime(n, b) for b in _BASES[:k])
     return (
         _strong_probable_prime(n, 2)
         and isqrt(n) ** 2 != n

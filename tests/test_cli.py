@@ -73,6 +73,13 @@ class TestExpressionParser:
             # Digits are what int() reads: superscripts are not numbers.
             ("t^\u00b2", 2, "expected a number"),
             ("\u00b2", 0, "unexpected character '\u00b2'"),
+            # Unicode spaces and decimal digits keep the same positions.
+            ("t^ \u00a0x", 4, "expected a number"),
+            ("1/\u00a0", 3, "expected a number"),
+            ("\u0663" * 5000, 5000, "number exceeds the limit of 1024 bits"),
+            ("t^\u00a0" + "\u0669" * 400, 403, "number exceeds the limit of 1024 bits"),
+            ("\u0663/\u00a0" + "9" * 400, 403, "number exceeds the limit of 1024 bits"),
+            ("t^\u0665\u0661\u0663", 5, "exponent 513 exceeds the limit 512"),
             # The 101st parenthesis is refused, in an expr and in a class
             # literal, where the pair's own parenthesis is not an atom's.
             pytest.param(
@@ -92,6 +99,13 @@ class TestExpressionParser:
             _ExprParser(text).parse(production)
         assert excinfo.value.position == position
         assert fragment in str(excinfo.value)
+
+    def test_unicode_spaces_and_digits(self):
+        # Whitespace is what str.isspace accepts and a digit what
+        # str.isdecimal accepts, as int() reads them.
+        assert parse_poly("t\u00a0+\u00a01") == T + 1
+        assert parse_poly("\u3000t\u2003*\u20092\u0661") == 21 * T
+        assert parse_poly("t^\u0663") == T**3
 
     def test_nesting_limit_is_inclusive(self):
         assert parse_poly("(" * 100 + "t" + ")" * 100) == T
@@ -432,6 +446,11 @@ class TestHilbert:
         with pytest.raises(SystemExit) as excinfo:
             main(["hilbert", "3", "5", "--place", "9"])
         assert excinfo.value.code == 2
+
+    def test_unicode_digits(self, capsys):
+        code, lines = run(capsys, "hilbert", "--place=3", "--", "\u0663", "2")
+        assert (code, lines) == run(capsys, "hilbert", "--place=3", "--", "3", "2")
+        assert lines[0] == "(3, 2)_3 = -1"
 
     def test_signed_rationals_with_whitespace(self, capsys):
         code, lines = run(capsys, "hilbert", "--place", "3", "--", " - 3 / 2", "+5")

@@ -134,6 +134,18 @@ class TestKodairaClassification:
         with pytest.raises(ValueError):
             KodairaType.I(0)
 
+    def test_each_fiber_type_has_one_value(self):
+        # A kind without an index drops n, and I_0 is the good fiber.
+        assert KodairaType("II", 3) == KodairaType("II")
+        assert hash(KodairaType("II", 3)) == hash(KodairaType("II"))
+        assert KodairaType("I", 0) == KodairaType.good()
+        assert hash(KodairaType("I", 0)) == hash(KodairaType.good())
+        with pytest.raises(ValueError, match="unknown fiber kind 'V'"):
+            KodairaType("V")
+        for kind in ("I", "I*", "II"):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                KodairaType(kind, -1)
+
     def test_component_counts(self):
         assert KodairaType.I(6).components == 6
         assert KodairaType.I_star(2).components == 7

@@ -372,6 +372,40 @@ def _sieve(limit: int) -> bytearray:
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k of _BASES (Pomerance,
+# Selfridge & Wagstaff 1980; Jaeschke 1993; Jiang & Deng 2014; Sorenson &
+# Webster 2017).
+_PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+    13: 3317044064679887385961981,
+}
+
+
+def _all_bases_verdict(n: int) -> bool:
+    """Trial division by _BASES, then the strong test to all 13 of them."""
+    if n < 2:
+        return False
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    return all(_strong_probable_prime(n, b) for b in _BASES)
+
+
+def _next_prime(n: int) -> int:
+    while not _all_bases_verdict(n):
+        n += 1
+    return n
 
 
 class TestIsPrime:
@@ -388,11 +422,43 @@ class TestIsPrime:
     def test_carmichael_numbers(self, n):
         assert not is_prime(n)
 
-    @pytest.mark.parametrize("n, k", [(3215031751, 4), (3825123056546413051, 9)])
+    @pytest.mark.parametrize("n, k", [(psi, k) for k, psi in sorted(_PSI.items())])
     def test_strong_pseudoprimes(self, n, k):
-        # The least strong pseudoprimes to the first 4 and first 9 bases.
+        # psi_k passes the strong test to its first k bases, so a test that
+        # ran only those on psi_k itself would call it prime.
         assert all(_strong_probable_prime(n, b) for b in _BASES[:k])
         assert not is_prime(n)
+
+    def test_agrees_with_all_thirteen_bases(self):
+        # Below psi_13 the 13 bases decide primality, so a sized test must
+        # give their verdict: on n log-uniform in [2, psi_13), and on
+        # products of two primes near each psi_k and on those primes.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        top = _PSI[13]
+
+        @st.composite
+        def log_uniform(draw):
+            bits = draw(st.integers(2, top.bit_length()))
+            return draw(st.integers(max(2, 2 ** (bits - 1)), min(2**bits, top) - 1))
+
+        @st.composite
+        def near_psi(draw):
+            psi = draw(st.sampled_from(sorted(set(_PSI.values()))))
+            small = draw(st.integers(4, psi.bit_length() // 2))
+            p = _next_prime(draw(st.integers(2 ** (small - 1), 2**small)))
+            spread = psi // p // 8
+            q = _next_prime(psi // p + draw(st.integers(-spread, spread)))
+            hypothesis.assume(p * q < top)
+            return [p, q, p * q]
+
+        @hypothesis.settings(deadline=None, max_examples=300)
+        @hypothesis.given(st.one_of(log_uniform().map(lambda n: [n]), near_psi()))
+        def check(numbers):
+            for n in numbers:
+                assert is_prime(n) == _all_bases_verdict(n), n
+
+        check()
 
     def test_pseudoprime_to_all_bases(self):
         n = 3317044064679887385961981

@@ -1,4 +1,4 @@
-"""Three relations of ev_A on random split curves.
+"""Four relations of ev_A on random split curves.
 
 ``test_brauer`` and ``test_base_change`` check them on the reference
 surface; here p, q, f and g are drawn from Z[t] of degree at most 2 with
@@ -26,6 +26,12 @@ surface to p'(s) = (c s + d)^4 p(t), q' likewise, and A to the class of
 f'(s) = (c s + d)^2 f(t) and g'; the point (x0, t0) goes to
 (x0 (c s0 + d)^4, s0), and every coordinate and entry changes by a
 square, so the invariant is the same.
+
+Negating t: BrauerClass.substitute_neg_t pulls A back to the curve with
+p'(s) = q(-s) and q'(s) = p(-s) (the roots of x(x - p)(x - q) swap), so
+ev_A'(x0, -t0) = ev_A(x0, t0), and classify_surface gives the pulled-back
+curve the same fiber types at the negated places, pi(t) -> pi(-t) made
+monic, with infinity fixed.
 """
 
 from fractions import Fraction
@@ -42,8 +48,9 @@ from ellbrauer.brauer import (  # noqa: E402
     local_points,
 )
 from ellbrauer.descent import brauer_image  # noqa: E402
-from ellbrauer.elliptic import SplitCurve  # noqa: E402
-from ellbrauer.exactalg import Polynomial  # noqa: E402
+from ellbrauer.elliptic import SplitCurve, classify_surface  # noqa: E402
+from ellbrauer.exactalg import Polynomial, T  # noqa: E402
+from ellbrauer.funcfield import Place  # noqa: E402
 from ellbrauer.hilbert import REAL, RationalPlace, hilbert_symbol  # noqa: E402
 from test_base_change import _pulled_back  # noqa: E402
 
@@ -124,3 +131,38 @@ def test_base_change_on_random_curves(p, q, f, g, a, b, c, d):
             s0 = Fraction(d * t0 - b) / (a - c * t0)
             image = SurfacePoint.affine(x0 * (c * s0 + d) ** 4, s0, place)
             assert evaluate_local(moved, image) == expected, (p, q, f, g, m, place, t0)
+
+
+def _fiber_types(curve, negate: bool):
+    """Each bad fiber's type by place, with pi(t) -> pi(-t) under negate,
+    or the ValueError that classify_surface raises.
+    """
+    try:
+        report = classify_surface(curve)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    fibers = {}
+    for fiber in report.fibers:
+        place = fiber.place
+        if negate and not place.is_infinite:
+            place = Place(place.pi.compose(-T).monic())
+        fibers[place] = fiber.kodaira
+    return fibers
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys, polys, polys, polys)
+def test_negating_t_on_random_curves(p, q, f, g):
+    hypothesis.assume(p and q and p != q and f and g)
+    curve = SplitCurve(p, q)
+    cls = brauer_image(f, g, curve)
+    pulled = cls.substitute_neg_t()
+    assert _fiber_types(pulled.curve, False) == _fiber_types(curve, True), (p, q)
+    for place in PLACES:
+        for point in local_points(curve, place, 20, height=8):
+            try:
+                expected = evaluate_local(cls, point)
+            except DegeneratePointError:
+                continue
+            image = SurfacePoint.affine(point.x0, -point.t0, place)
+            assert evaluate_local(pulled, image) == expected, (p, q, f, g, place, point)
