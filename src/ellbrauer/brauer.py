@@ -35,9 +35,10 @@ from math import gcd, lcm
 from typing import Iterator
 
 from ._valueclass import value_class
-from .descent import BrauerClass, _coordinate_value, brauer_image
+from .descent import BrauerClass, CurveCoordinate, _coordinate_value, brauer_image
 from .elliptic import SplitCurve
-from .exactalg import T, _frac
+from .exactalg import Polynomial, RationalFunction, T, _frac
+from .funcfield import Place
 from .hilbert import RationalPlace, _is_square, _square_class, _symbol_sign
 
 
@@ -92,6 +93,77 @@ class SurfacePoint:
         if self.at_zero_section:
             return f"zero section at {self.place}"
         return f"(x = {self.x0}, t = {self.t0}) at {self.place}"
+
+
+@value_class
+class BaseChange:
+    """The change t = (a s + b) / (c s + d), ad != bc, of the parameter line.
+
+    It takes the surface y^2 = x (x - p) (x - q) to p'(s) = (c s + d)^4 p(t)
+    and q' likewise, with x' = (c s + d)^4 x, and a class (coordinate, f) to
+    (coordinate, (c s + d)^2 f(t)): every coordinate and entry changes by a
+    square, so fiber types, residues and local invariants carry over.  The
+    change by m, then by n, is the change by the matrix product m n.
+    """
+
+    a: Fraction | int
+    b: Fraction | int
+    c: Fraction | int
+    d: Fraction | int
+
+    def __post_init__(self) -> None:
+        if self.a * self.d == self.b * self.c:
+            raise ValueError("a base change needs ad != bc")
+
+    def _homogenised(self, h: Polynomial) -> Polynomial:
+        """(c s + d)^deg h * h(t), by Horner's rule."""
+        top, bottom = Polynomial((self.b, self.a)), Polynomial((self.d, self.c))
+        acc, power = Polynomial(), Polynomial((1,))
+        for coeff in reversed(h.coeffs):
+            acc = acc * top + coeff * power
+            power = power * bottom
+        return acc
+
+    def _pull_back(self, f: RationalFunction, weight: int) -> RationalFunction:
+        """(c s + d)^weight * f(t)."""
+        num, den = f.num, f.den
+        scale = RationalFunction(Polynomial((self.d, self.c)))
+        pulled = RationalFunction(self._homogenised(num), self._homogenised(den))
+        return pulled * scale ** (weight - num.degree + den.degree)
+
+    def curve(self, curve: SplitCurve) -> SplitCurve:
+        p, q = curve.split_p, curve.split_q
+        return SplitCurve(self._pull_back(p, 4), self._pull_back(q, 4))
+
+    def brauer_class(self, cls: BrauerClass) -> BrauerClass:
+        symbols = [(coord, self._pull_back(f, 2)) for coord, f in cls.symbols]
+        return BrauerClass(self.curve(cls.curve), symbols)
+
+    def point(self, point: SurfacePoint) -> SurfacePoint:
+        """(x0, t0) -> (x0 (c s0 + d)^4, s0); raises ValueError over s = infinity."""
+        if point.at_zero_section:
+            return point
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if a == c * point.t0:
+            raise ValueError(f"{point} lies over s = infinity")
+        s0 = (d * point.t0 - b) / (a - c * point.t0)
+        return SurfacePoint.affine(point.x0 * (c * s0 + d) ** 4, s0, point.place)
+
+    def place(self, place: Place) -> Place:
+        """The place of s that the fiber over the given place of t moves to."""
+        if place.is_infinite:
+            pi = Polynomial((self.d, self.c))
+        else:
+            pi = self._homogenised(place.pi)
+        return Place.infinity() if pi.is_constant() else Place(pi.monic())
+
+
+def swap_roots(cls: BrauerClass) -> BrauerClass:
+    """The class on the curve (q, p): the same surface, x - p and x - q traded."""
+    x, xp, xq = CurveCoordinate.X, CurveCoordinate.X_MINUS_P, CurveCoordinate.X_MINUS_Q
+    swapped = {x: x, xp: xq, xq: xp}
+    curve = SplitCurve(cls.curve.split_q, cls.curve.split_p)
+    return BrauerClass(curve, [(swapped[c], f) for c, f in cls.symbols])
 
 
 # (D, P, Q) with p(t0) = P/D and q(t0) = Q/D, and the square-class integers

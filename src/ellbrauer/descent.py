@@ -31,7 +31,7 @@ import enum
 from typing import Sequence
 
 from ._valueclass import value_class
-from .exactalg import RationalFunction, T
+from .exactalg import RationalFunction
 from .elliptic import SplitCurve, WeierstrassCurve, base_factors, split_factors
 from .residues import QtBrauerClass, _SymbolSum
 from .squareclass import (
@@ -253,23 +253,6 @@ class BrauerClass(_SymbolSum):
 
     def _context(self) -> SplitCurve:
         return self.curve
-
-    def substitute_neg_t(self) -> "BrauerClass":
-        """The class pulled back under t -> -t, on the pulled-back curve."""
-        neg_t = -T
-        p = self.curve.split_p.substitute(neg_t)
-        q = self.curve.split_q.substitute(neg_t)
-        # x(x-p)(x-q) keeps its shape, with the roots p and q swapped.
-        swapped = SplitCurve(q, p)
-        swap = {
-            CurveCoordinate.X: CurveCoordinate.X,
-            CurveCoordinate.X_MINUS_P: CurveCoordinate.X_MINUS_Q,
-            CurveCoordinate.X_MINUS_Q: CurveCoordinate.X_MINUS_P,
-        }
-        return BrauerClass(
-            swapped,
-            [(swap[c], f.substitute(neg_t)) for c, f in self.symbols],
-        )
 
     def restrict_to_origin(self) -> QtBrauerClass:
         """The class on the 2-torsion section x = 0, as a class over Q(t)."""

@@ -236,13 +236,6 @@ class Polynomial:
         b = x.denominator
         return Fraction(_horner(ns, x.numerator, b), den * b ** max(len(ns) - 1, 0))
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Substitute inner for t."""
-        acc = Polynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + Polynomial((c,))
-        return acc
-
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self._coeffs))[1:])
 
@@ -617,9 +610,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"pole of {self} at t = {x}")
         return self.num(x) / d
-
-    def substitute(self, inner: Polynomial) -> "RationalFunction":
-        return RationalFunction(self.num.compose(inner), self.den.compose(inner))
 
     def sort_key(self) -> tuple:
         return (self.num.sort_key(), self.den.sort_key())

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from ._valueclass import value_class
 from .brauer import (
-    REFERENCE_PAIR, DegeneratePointError, SurfacePoint, adelic_pairing,
-    evaluate_local, local_points, reference_adelic_point, reference_class,
-    reference_curve, sample_vanishing,
+    REFERENCE_PAIR, BaseChange, DegeneratePointError, SurfacePoint,
+    adelic_pairing, evaluate_local, local_points, reference_adelic_point,
+    reference_class, reference_curve, sample_vanishing,
 )
 from .descent import (
     CurvePoint, TranscendenceVerdict, brauer_image, descent_image,
@@ -64,7 +64,7 @@ def _check_surface() -> CheckResult:
         problems.append("c4^3 - c6^2 != 1728 * discriminant")
     if disc != 16 * (p * q) ** 2 * (p - q) ** 2:
         problems.append("discriminant != 16 p^2 q^2 (p-q)^2")
-    if q != p.substitute(-T):
+    if BaseChange(-1, 0, 0, 1).curve(curve).split_p != q:
         problems.append("q(t) != p(-t)")
     if p - q != RationalFunction(48 * T):
         problems.append("p(t) - q(t) != 48t")

@@ -8,7 +8,8 @@ K3 in the same weighted model.  The class (x - p, f) + (x - q, g) goes to
 (x - p', f') + (x - q', g') with f'(s) = (c s + d)^2 f(t), and likewise
 g'.  With lambda = (c s0 + d)^4, the point (x0, t0) goes to
 (lambda x0, s0): each coordinate and each entry changes by a square, so
-the local invariant is the same.  Only public names are used.
+the local invariant is the same.  ``BaseChange`` is that action; only
+public names are used.
 """
 
 from collections import Counter
@@ -18,9 +19,12 @@ import pytest
 
 from ellbrauer import (
     REAL,
+    BaseChange,
+    BrauerClass,
+    CurveCoordinate,
     Polynomial,
+    RationalFunction,
     RationalPlace,
-    SurfacePoint,
     TranscendenceVerdict,
     WeierstrassCurve,
     brauer_image,
@@ -41,33 +45,36 @@ MAPS = [(1, 2, 0, 1), (0, 1, 1, 0), (2, 1, 1, 1)]
 PLACES = [REAL, RationalPlace.prime(2), RationalPlace.prime(3), RationalPlace.prime(5)]
 
 
-def _pulled_back(poly: Polynomial, weight: int, a, b, c, d) -> Polynomial:
-    """(c s + d)^weight * poly((a s + b) / (c s + d)), for deg poly <= weight."""
-    s = Polynomial.variable()
-    out = Polynomial()
-    for i, coeff in enumerate(poly.coeffs):
-        out = out + coeff * (a * s + b) ** i * (c * s + d) ** (weight - i)
-    return out
+REFERENCE = brauer_image(F, G, WeierstrassCurve.from_split(P, Q))
 
 
-def _surface(m):
-    curve = WeierstrassCurve.from_split(*(_pulled_back(h, 4, *m) for h in (P, Q)))
-    f, g = (_pulled_back(h, 2, *m) for h in (F, G))
-    return curve, f, g
-
-
-REFERENCE = _surface((1, 0, 0, 1))
+def entry_pair(cls):
+    """The pair (f, g) of a class (x - p, f) + (x - q, g)."""
+    by_coordinate = dict(cls.symbols)
+    return tuple(
+        by_coordinate.get(coord, 1)
+        for coord in (CurveCoordinate.X_MINUS_P, CurveCoordinate.X_MINUS_Q)
+    )
 
 
 def test_identity_map_is_the_reference():
-    curve, f, g = REFERENCE
+    moved = BaseChange(1, 0, 0, 1).brauer_class(REFERENCE)
+    curve, (f, g) = moved.curve, entry_pair(moved)
     assert (curve.split_p, curve.split_q, f, g) == (P, Q, F, G)
+
+
+def test_entries_pull_back_with_weight_two():
+    # f = 1/t under t = 1/s: (c s + d)^2 f(t) = s^2 * s = s^3, a polynomial
+    # because the denominator's degree counts towards the weight.
+    cls = BrauerClass(REFERENCE.curve, [(CurveCoordinate.X, RationalFunction(1, T))])
+    moved = BaseChange(0, 1, 1, 0).brauer_class(cls)
+    assert moved.symbols == ((CurveCoordinate.X, RationalFunction(T**3)),)
 
 
 @pytest.mark.parametrize("m", MAPS, ids=str)
 def test_fibers_and_invariants_carry_over(m):
-    curve, _, _ = _surface(m)
-    report, reference = classify_surface(curve), classify_surface(REFERENCE[0])
+    curve = BaseChange(*m).curve(REFERENCE.curve)
+    report, reference = classify_surface(curve), classify_surface(REFERENCE.curve)
     kinds = Counter(str(fiber.kodaira) for fiber in report.fibers)
     assert kinds == Counter(str(fiber.kodaira) for fiber in reference.fibers)
     assert kinds == Counter({"I_6": 3, "I_2": 3})
@@ -76,8 +83,9 @@ def test_fibers_and_invariants_carry_over(m):
 
 @pytest.mark.parametrize("m", MAPS, ids=str)
 def test_verdicts_carry_over(m):
-    curve, f, g = _surface(m)
-    restricted = brauer_image(f, g, curve).restrict_to_origin()
+    moved = BaseChange(*m).brauer_class(REFERENCE)
+    curve, (f, g) = moved.curve, entry_pair(moved)
+    restricted = moved.restrict_to_origin()
     assert check_unramified_P1(restricted).overall is True
     verdict = transcendence_test(f, g, curve, 0).verdict
     assert verdict is TranscendenceVerdict.TRANSCENDENTAL
@@ -85,22 +93,20 @@ def test_verdicts_carry_over(m):
 
 @pytest.mark.parametrize("m", MAPS, ids=str)
 def test_local_invariants_carry_over(m):
-    a, b, c, d = m
-    curve, f, g = _surface(m)
-    reference, moved = brauer_image(F, G, REFERENCE[0]), brauer_image(f, g, curve)
+    change = BaseChange(*m)
+    moved = change.brauer_class(REFERENCE)
     skipped, seen = 0, set()
     for place in PLACES:
-        points = local_points(REFERENCE[0], place, 300, height=30)
+        points = local_points(REFERENCE.curve, place, 300, height=30)
         assert len(points) == 300
         for point in points:
-            t0, x0 = point.t0, point.x0
-            if a == c * t0:  # t0 lies over s = infinity
+            try:
+                image = change.point(point)
+            except ValueError:  # t0 lies over s = infinity
                 skipped += 1
                 continue
-            s0 = Fraction(d * t0 - b) / (a - c * t0)
-            image = SurfacePoint.affine(x0 * (c * s0 + d) ** 4, s0, place)
-            expected = evaluate_local(reference, point)
-            assert evaluate_local(moved, image) == expected, (place, t0, x0)
+            expected = evaluate_local(REFERENCE, point)
+            assert evaluate_local(moved, image) == expected, (place, point)
             seen.add(expected)
     assert skipped == (38 if m == (2, 1, 1, 1) else 0)
     assert seen == {0, Fraction(1, 2)}

@@ -766,6 +766,9 @@ sampling at 2: FAIL (invariant 1/2 at t = -2, x = 1)
 note: {_NOTE}
 FAILED: 1 check(s)
 """
+_NO_POINTS = _FAILING.replace(
+    "(invariant 1/2 at t = -2, x = 1)", "(no valid points)"
+)
 
 
 def test_warm_verify_factors_no_constant(capsys, monkeypatch):
@@ -811,6 +814,15 @@ class TestVerifyOutput:
         code = main(["verify", "--sample-places", "2", "--samples", "30"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, _FAILING, "")
+
+    def test_sampling_place_without_points(self, capsys, monkeypatch):
+        # At height 1 each t0 in {-1, 0, 1} lies under a singular fiber, so
+        # sampling finds no point to evaluate.
+        monkeypatch.delenv("ELLBRAUER_VERBOSE", raising=False)
+        argv = ["verify", "--samples", "1", "--height", "1", "--sample-places", "2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, _NO_POINTS, "")
 
     @pytest.mark.parametrize(
         "places, message",

@@ -73,11 +73,6 @@ class TestPolynomial:
             assert q * g + r == f
             assert r.degree < g.degree
 
-    def test_compose(self):
-        f = T**2 + 1
-        assert f.compose(T - 1) == T**2 - 2 * T + 2
-        assert f.compose(-T) == f
-
     def test_derivative(self):
         assert (T**3 - 4 * T).derivative() == 3 * T**2 - 4
         assert Polynomial.constant(5).derivative().is_zero()
@@ -147,11 +142,6 @@ class TestRationalFunction:
         assert f * g == RationalFunction(1, T + 1)
         assert (f + g) * T * (T + 1) == RationalFunction(T**2 + T + 1)
         assert (f / g) * g == f
-
-    def test_substitute(self):
-        f = RationalFunction(T, T - 1)
-        assert f.substitute(-T) == RationalFunction(-T, -T - 1)
-        assert f.substitute(T + 1) == RationalFunction(T + 1, T)
 
 
 class TestGcd:

@@ -14,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from ellbrauer.brauer import BaseChange  # noqa: E402
 from ellbrauer.exactalg import (  # noqa: E402
     Polynomial,
     RationalFunction,
@@ -145,8 +146,9 @@ def test_valuation_adds_the_drawn_power(case):
 def irreducible_places(draw):
     """A monic irreducible pi of degree 2-4 with its place.
 
-    pi is an Eisenstein polynomial at a small prime, shifted by a rational:
-    a shift is an automorphism of Q[t], so pi stays irreducible.  That is
+    pi is an Eisenstein polynomial at a small prime, shifted by a rational r
+    (the place of the base change t = s + r): a shift is an automorphism of
+    Q[t], so pi stays irreducible.  That is
     known by construction, so the place is built directly, without the
     factorization ``Place.finite`` runs to check it.
     """
@@ -155,8 +157,8 @@ def irreducible_places(draw):
     constant = draw(nonzero_ints.filter(lambda b: b % p))
     middle = [draw(st.integers(-20, 20)) for _ in range(d - 1)]
     eisenstein = Polynomial([p * constant] + [p * b for b in middle] + [1])
-    pi = eisenstein.compose(T + draw(roots))
-    return pi, Place(pi)
+    place = BaseChange(1, draw(roots), 0, 1).place(Place(eisenstein))
+    return place.pi, place
 
 
 huge_coefficients = st.one_of(

@@ -1,4 +1,4 @@
-"""Four relations of ev_A on random split curves.
+"""Relations of ev_A and the surface's invariants on random split curves.
 
 ``test_brauer`` and ``test_base_change`` check them on the reference
 surface; here p, q, f and g are drawn from Z[t] of degree at most 2 with
@@ -21,17 +21,26 @@ their invariant.  There y^2 = c^2 h (1 + e h)(1 + (e - o) h), a square
 for h = l^40 in Q_l and for h = 10^-40 in R.  At x = e evaluation
 rewrites the vanishing coordinate, and at x = e + c h it does not.
 
-Base change: t = (a s + b) / (c s + d) with ad - bc != 0 takes the
-surface to p'(s) = (c s + d)^4 p(t), q' likewise, and A to the class of
-f'(s) = (c s + d)^2 f(t) and g'; the point (x0, t0) goes to
-(x0 (c s0 + d)^4, s0), and every coordinate and entry changes by a
-square, so the invariant is the same.
+Base change: BaseChange(a, b, c, d), t = (a s + b) / (c s + d) with
+ad - bc != 0, takes the surface to p'(s) = (c s + d)^4 p(t), q' likewise,
+and A to the class of f'(s) = (c s + d)^2 f(t) and g'; the point
+(x0, t0) goes to (x0 (c s0 + d)^4, s0), and every coordinate and entry
+changes by a square, so the invariant is the same.  So do the fiber
+types, at the places BaseChange.place maps them to, and the
+transcendence verdict; check_unramified_P1 of the class on x = 0 may
+become undetermined but never flips between True and False.
 
-Negating t: BrauerClass.substitute_neg_t pulls A back to the curve with
-p'(s) = q(-s) and q'(s) = p(-s) (the roots of x(x - p)(x - q) swap), so
-ev_A'(x0, -t0) = ev_A(x0, t0), and classify_surface gives the pulled-back
-curve the same fiber types at the negated places, pi(t) -> pi(-t) made
-monic, with infinity fixed.
+Negating t: BaseChange(-1, 0, 0, 1) followed by swap_roots pulls A back to
+the curve with p'(s) = q(-s) and q'(s) = p(-s) (the roots of
+x(x - p)(x - q) swap), so ev_A'(x0, -t0) = ev_A(x0, t0), and
+classify_surface gives the pulled-back curve the same fiber types at the
+negated places, pi(t) -> pi(-t) made monic, with infinity fixed.
+
+The maps form a group acting on curves, classes, points and places: the
+identity fixes each, the map of m followed by the map of n is the map of
+the matrix product m n exactly (not just up to squares), and the
+Fraction inverse undoes a map.  swap_roots undoes itself and commutes
+with every base change.
 """
 
 from fractions import Fraction
@@ -39,24 +48,30 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ellbrauer.brauer import (  # noqa: E402
+    BaseChange,
     DegeneratePointError,
     SurfacePoint,
     evaluate_local,
     local_points,
+    swap_roots,
 )
-from ellbrauer.descent import brauer_image  # noqa: E402
+from ellbrauer.descent import brauer_image, transcendence_test  # noqa: E402
 from ellbrauer.elliptic import SplitCurve, classify_surface  # noqa: E402
-from ellbrauer.exactalg import Polynomial, T  # noqa: E402
-from ellbrauer.funcfield import Place  # noqa: E402
+from ellbrauer.exactalg import Polynomial  # noqa: E402
+from ellbrauer.funcfield import places_of_support  # noqa: E402
 from ellbrauer.hilbert import REAL, RationalPlace, hilbert_symbol  # noqa: E402
-from test_base_change import _pulled_back  # noqa: E402
+from ellbrauer.residues import check_unramified_P1  # noqa: E402
+from test_base_change import entry_pair  # noqa: E402
 
 PLACES = (REAL, RationalPlace.prime(2), RationalPlace.prime(3))
 polys = st.builds(Polynomial, st.lists(st.integers(-6, 6), min_size=1, max_size=3))
 entries = st.integers(-3, 3)
+maps = st.tuples(entries, entries, entries, entries).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2]
+)
 # The fibers over which local constancy is checked.
 PARAMETERS = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2)})
 
@@ -111,43 +126,41 @@ def test_local_constancy_on_random_curves(p, q, f, g):
 
 
 @settings(deadline=None, max_examples=60)
-@given(polys, polys, polys, polys, entries, entries, entries, entries)
-def test_base_change_on_random_curves(p, q, f, g, a, b, c, d):
-    hypothesis.assume(p and q and p != q and f and g and a * d != b * c)
-    m = (a, b, c, d)
+@given(polys, polys, polys, polys, maps)
+def test_base_change_on_random_curves(p, q, f, g, m):
+    hypothesis.assume(p and q and p != q and f and g)
     curve = SplitCurve(p, q)
-    moved_curve = SplitCurve(_pulled_back(p, 4, *m), _pulled_back(q, 4, *m))
     cls = brauer_image(f, g, curve)
-    moved = brauer_image(_pulled_back(f, 2, *m), _pulled_back(g, 2, *m), moved_curve)
+    change = BaseChange(*m)
+    moved = change.brauer_class(cls)
     for place in PLACES:
         for point in local_points(curve, place, 20, height=8):
-            t0, x0 = point.t0, point.x0
-            if a == c * t0:  # t0 lies over s = infinity
+            try:
+                image = change.point(point)
+            except ValueError:  # t0 lies over s = infinity
                 continue
             try:
                 expected = evaluate_local(cls, point)
             except DegeneratePointError:
                 continue
-            s0 = Fraction(d * t0 - b) / (a - c * t0)
-            image = SurfacePoint.affine(x0 * (c * s0 + d) ** 4, s0, place)
-            assert evaluate_local(moved, image) == expected, (p, q, f, g, m, place, t0)
+            assert evaluate_local(moved, image) == expected, (p, q, f, g, m, place, point)
 
 
-def _fiber_types(curve, negate: bool):
-    """Each bad fiber's type by place, with pi(t) -> pi(-t) under negate,
+def _fiber_types(curve, change=None):
+    """Each bad fiber's type by place, its place mapped by change,
     or the ValueError that classify_surface raises.
     """
     try:
         report = classify_surface(curve)
     except ValueError as exc:
         return type(exc), str(exc)
-    fibers = {}
-    for fiber in report.fibers:
-        place = fiber.place
-        if negate and not place.is_infinite:
-            place = Place(place.pi.compose(-T).monic())
-        fibers[place] = fiber.kodaira
-    return fibers
+    return {
+        fiber.place if change is None else change.place(fiber.place): fiber.kodaira
+        for fiber in report.fibers
+    }
+
+
+NEGATE = BaseChange(-1, 0, 0, 1)
 
 
 @settings(deadline=None, max_examples=60)
@@ -156,8 +169,8 @@ def test_negating_t_on_random_curves(p, q, f, g):
     hypothesis.assume(p and q and p != q and f and g)
     curve = SplitCurve(p, q)
     cls = brauer_image(f, g, curve)
-    pulled = cls.substitute_neg_t()
-    assert _fiber_types(pulled.curve, False) == _fiber_types(curve, True), (p, q)
+    pulled = swap_roots(NEGATE.brauer_class(cls))
+    assert _fiber_types(pulled.curve) == _fiber_types(curve, NEGATE), (p, q)
     for place in PLACES:
         for point in local_points(curve, place, 20, height=8):
             try:
@@ -165,4 +178,79 @@ def test_negating_t_on_random_curves(p, q, f, g):
             except DegeneratePointError:
                 continue
             image = SurfacePoint.affine(point.x0, -point.t0, place)
+            assert NEGATE.point(point) == image
             assert evaluate_local(pulled, image) == expected, (p, q, f, g, place, point)
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys, polys, polys, polys, maps)
+# True before the change and undetermined after it: a residue 324 s^4 at a
+# place of degree 2 is a square, which the constant-only test cannot see.
+@example(
+    Polynomial([-4]), Polynomial([-1]), Polynomial([6, -4, -1]), Polynomial([-3, -2]),
+    (2, -3, 3, 0),
+)
+def test_invariants_under_random_base_change(p, q, f, g, m):
+    hypothesis.assume(p and q and p != q and f and g)
+    cls = brauer_image(f, g, SplitCurve(p, q))
+    change = BaseChange(*m)
+    moved = change.brauer_class(cls)
+    assert _fiber_types(moved.curve) == _fiber_types(cls.curve, change), (p, q, m)
+    f1, g1 = entry_pair(moved)
+    verdicts = (
+        transcendence_test(f, g, cls.curve, 0).verdict,
+        transcendence_test(f1, g1, moved.curve, 0).verdict,
+    )
+    assert verdicts[0] is verdicts[1], (p, q, f, g, m)
+    unramified = {
+        check_unramified_P1(c.restrict_to_origin()).overall for c in (cls, moved)
+    }
+    assert unramified != {True, False}, (p, q, f, g, m)
+
+
+def _product(m, n):
+    """The matrix of t = m(n(r)), so the base change by m and then by n."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _inverse(m):
+    a, b, c, d = m
+    det = Fraction(a * d - b * c)
+    return d / det, -b / det, -c / det, a / det
+
+
+def _or_error(action, item):
+    """action(item), or ValueError for a point that lands over infinity."""
+    try:
+        return action(item)
+    except ValueError:
+        return ValueError
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys, polys, polys, polys, maps, maps)
+def test_base_changes_form_a_group(p, q, f, g, m, n):
+    hypothesis.assume(p and q and p != q and f and g)
+    curve = SplitCurve(p, q)
+    cls = brauer_image(f, g, curve)
+    items = [("curve", curve), ("brauer_class", cls)]
+    items += [("place", v) for v in places_of_support([p, q, p - q])]
+    items += [("point", SurfacePoint.zero_section(REAL))]
+    for place in PLACES:
+        items += [("point", pt) for pt in local_points(curve, place, 5, height=6)]
+    matrices = ((1, 0, 0, 1), m, n, _product(m, n), _inverse(m))
+    changes = [BaseChange(*k) for k in matrices]
+    for name, item in items:
+        identity, first, then, both, undo = (getattr(c, name) for c in changes)
+        assert identity(item) == item, (name, item)
+        moved = _or_error(first, item)
+        if moved is ValueError:
+            assert name == "point", (m, name, item)
+            continue
+        assert undo(moved) == item, (m, name, item)
+        assert _or_error(then, moved) == _or_error(both, item), (m, n, name, item)
+    change = changes[1]
+    assert swap_roots(swap_roots(cls)) == cls
+    assert swap_roots(change.brauer_class(cls)) == change.brauer_class(swap_roots(cls))
