@@ -40,8 +40,7 @@ from .squareclass import (
     _nonzero,
     class_from_factors,
     class_of,
-    in_span,
-    independent,
+    span_combinations,
 )
 
 
@@ -303,15 +302,21 @@ def transcendence_test(
     The torsion images are sums of the classes of p, q and p - q, so f
     and g are factored over the curve's factor base of their irreducibles
     (elliptic.base_factors); only the cofactors reach poly_factor.  A zero
-    f or g is reported ahead of a curve that is not split.
+    f or g is reported first, then a curve that is not split, then a rank
+    bound that is not a nonnegative int (a bool is not one).
 
-    The verdict is unknown until a branch decides it; each branch sets
-    the reason, and the combination for a class algebraic over C.  One
-    result is built from them.
+    One elimination over the images of (p, 0) and (q, 0) and the target
+    (squareclass.span_combinations) decides both questions: the images
+    are independent when neither lies in the span of those before it, and
+    the target's coefficients over them are the combination.  The verdict
+    is unknown until a branch decides it; each branch sets the reason,
+    and the combination for a class algebraic over C.
     """
     mode = FieldMode.CONSTANTS_ARE_SQUARES
     f, g = _nonzero(f), _nonzero(g)
     curve = _checked_split(curve)
+    if type(mw_rank_bound) is not int or mw_rank_bound < 0:
+        raise ValueError(f"rank bound {mw_rank_bound!r} is not a nonnegative int")
     target = DescentPair(
         class_from_factors(*base_factors(curve, f), mode),
         class_from_factors(*base_factors(curve, g), mode),
@@ -320,18 +325,19 @@ def transcendence_test(
         descent_image(CurvePoint.two_torsion_p(), curve, mode),
         descent_image(CurvePoint.two_torsion_q(), curve, mode),
     )
-    rows = [gen.as_tuple() for gen in gens]
     verdict, combination = TranscendenceVerdict.UNKNOWN, None
     if mw_rank_bound != 0:
         reason = (
             f"Mordell-Weil rank bound {mw_rank_bound} does not pin the "
             "kernel of the symbol map"
         )
-    elif not independent(rows):
-        reason = "torsion images are dependent and do not span the kernel"
     else:
-        member, combo = in_span(target.as_tuple(), rows)
-        if member:
+        *image_combos, combo = span_combinations(
+            [gen.as_tuple() for gen in gens] + [target.as_tuple()]
+        )
+        if image_combos != [None, None]:
+            reason = "torsion images are dependent and do not span the kernel"
+        elif combo is not None:
             verdict = TranscendenceVerdict.ALGEBRAIC_OVER_C
             combination = tuple(combo)
             reason = "target equals the recorded combination of torsion images"

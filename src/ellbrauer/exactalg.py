@@ -3,12 +3,13 @@
 Polynomials are dense tuples of Fraction coefficients, lowest degree first,
 with no trailing zeros, so equality is structural; a polynomial equals the
 scalar it is constant at, and its hash is computed once and agrees with
-scalar equality (a constant hashes as its constant, zero as 0).  Rational
-functions are reduced quotients with a monic denominator, and one with
-denominator 1 hashes as its numerator.  Two rational functions with the
-same denominator are added and subtracted over it, (n + n') / d, with no
-cross-multiplication; the product of a polynomial with the constant 1 is
-the other factor itself, so unit denominators cost no multiplication.
+scalar equality: a constant hashes as its constant (zero as 0), any other
+polynomial as its integer model (below), which equal polynomials share.
+Rational functions are reduced quotients with a monic denominator, and one
+with denominator 1 hashes as its numerator.  Two rational functions with
+the same denominator are added and subtracted over it, (n +- n') / d, with
+no cross-multiplication; the product of a polynomial with the constant 1
+is the other factor itself, so unit denominators cost no multiplication.
 Everything here is exact: no floats anywhere.
 
 Only this module turns polynomials into integers: integer models (the
@@ -39,7 +40,8 @@ of the values it interpolates: it is meant for curve coefficient data of
 moderate degree.  Three inputs show the limit: t^511 - 1
 (``fibers --p t^512 --q t``) and t^24 - 1 (``fibers --p t^24 --q 1``)
 do not finish in 10 s, and the degree-7 product
-(t^2-20t+27)(2t^2-t+23)(5t^3+20t^2-8t+17) takes 7-8 s.
+(t^2-20t+27)(2t^2-t+23)(5t^3+20t^2-8t+17) takes seconds (ROADMAP.md's
+baseline table times it on one host).
 """
 
 from __future__ import annotations
@@ -129,11 +131,12 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Polynomials are immutable, so the hash is computed on first use
-        # and kept.  A constant equals its value, so it hashes as that value.
+        # Computed on first use and kept.  A constant hashes as its value;
+        # any other polynomial as its integer model, which factoring builds.
         if self._hash is None:
-            cs = self._coeffs
-            self._hash = hash(cs) if len(cs) > 1 else hash(self.as_constant())
+            self._hash = hash(
+                _integer_model(self) if len(self._coeffs) > 1 else self.as_constant()
+            )
         return self._hash
 
     def __neg__(self) -> "Polynomial":
@@ -157,13 +160,14 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = list(self._coeffs) + [0] * (len(other._coeffs) - len(self._coeffs))
+        for i, c in enumerate(other._coeffs):
+            out[i] -= c
+        return Polynomial(out)
 
     def __rsub__(self, other: object) -> "Polynomial":
         other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other: object) -> "Polynomial":
         other = _coerce_poly(other)
@@ -492,7 +496,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: object, den: object = 1) -> None:
+    def __init__(self, num: object, den: object = ONE) -> None:
         n = _coerce_poly(num)
         d = _coerce_poly(den)
         if n is None or d is None:
@@ -563,13 +567,13 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RationalFunction(self.num - other.num, self.den)
         return self + (-other)
 
     def __rsub__(self, other: object) -> "RationalFunction":
         other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other: object) -> "RationalFunction":
         other = _coerce_rf(other)
@@ -711,7 +715,9 @@ def _factor_model(hs: list[int]) -> list[tuple[Polynomial, int]]:
     for base in bases:  # g = 1 takes no division
         v, g = _deflate(_integer_model(base)[0], g) if len(g) > 1 else (0, g)
         out.append((base, v + 1))
-    return sorted(out, key=lambda fe: fe[0].sort_key())
+    if len(out) > 1:
+        out.sort(key=lambda fe: fe[0].sort_key())
+    return out
 
 
 def _lifted_roots(hs: list[int]) -> list[list[int]]:
@@ -756,8 +762,9 @@ def _eval_mod(cs: list[int], x: int, m: int) -> int:
 
 
 def _small_primes() -> Iterator[int]:
-    for n in count(2):
-        if all(n % d for d in range(2, isqrt(n) + 1)):
+    yield from (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    for n in count(53, 2):  # past the table, odd n by trial division
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
             yield n
 
 

@@ -63,12 +63,16 @@ class SquareClassVector:
             return NotImplemented
         if self.mode is not other.mode:
             raise ValueError("cannot add square classes in different field modes")
-        return SquareClassVector(
-            self.mode,
-            self.sign != other.sign,
-            self.primes ^ other.primes,
-            self.polys ^ other.polys,
+        # Both summands passed __post_init__, so the sum does: it is built
+        # without rechecking each entry.
+        out = object.__new__(SquareClassVector)
+        out.__dict__.update(
+            mode=self.mode,
+            sign=self.sign != other.sign,
+            primes=self.primes ^ other.primes,
+            polys=self.polys ^ other.polys,
         )
+        return out
 
     def forget_constants(self) -> "SquareClassVector":
         """Project a Q(t) class to the C(t) class it maps to."""
@@ -129,9 +133,9 @@ def class_from_factors(
     for base, e in num.factors + den.factors:
         exps[base] = exps.get(base, 0) + e
     polys = frozenset(base for base, e in exps.items() if e % 2)
-    unit = num.unit / den.unit
     if mode is FieldMode.CONSTANTS_ARE_SQUARES:
         return SquareClassVector(mode, False, frozenset(), polys)
+    unit = num.unit / den.unit
     sign_n, primes_n = int_factor(unit.numerator)
     _, primes_d = int_factor(unit.denominator)
     prime_exps: dict[int, int] = {}
@@ -141,38 +145,8 @@ def class_from_factors(
     return SquareClassVector(mode, sign_n < 0, primes, polys)
 
 
-ClassTuple = tuple[SquareClassVector, ...]
-
-
-def _as_tuple(v: Union[SquareClassVector, Sequence[SquareClassVector]]) -> ClassTuple:
-    if isinstance(v, SquareClassVector):
-        return (v,)
-    return tuple(v)
-
-
-def _masks(vecs: Sequence[ClassTuple]) -> list[int]:
-    """Each class tuple as a bit mask over the (block, coordinate) pairs met."""
-    width = len(vecs[0]) if vecs else 0
-    mode = vecs[0][0].mode if width else None
-    for vec in vecs:
-        if len(vec) != width:
-            raise ValueError("all class tuples must have the same length")
-        for comp in vec:
-            if comp.mode is not mode:
-                raise ValueError("mixed field modes in span computation")
-    index: dict[tuple, int] = {}
-
-    def mask(vec: ClassTuple) -> int:
-        m = 0
-        for block, comp in enumerate(vec):
-            for coord in comp.coordinates():
-                key = (block, coord)
-                if key not in index:
-                    index[key] = len(index)
-                m |= 1 << index[key]
-        return m
-
-    return [mask(vec) for vec in vecs]
+# A class tuple, or a single class standing for a 1-tuple.
+Classes = Union[SquareClassVector, Sequence[SquareClassVector]]
 
 
 def _eliminate(rows: Sequence[int]) -> list[tuple[int, int]]:
@@ -197,31 +171,49 @@ def _eliminate(rows: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+def span_combinations(vectors: Sequence[Classes]) -> list[list[int] | None]:
+    """For each class tuple, in order, its F2 coefficients over the tuples
+    before it, or None when it lies outside their span.
+
+    Each tuple becomes a bit mask over the (block, coordinate) pairs met,
+    so pairs stay pairs and never mix coordinates, and one elimination
+    answers every membership and independence question about them.
+    """
+    vecs = [(v,) if isinstance(v, SquareClassVector) else tuple(v) for v in vectors]
+    width = len(vecs[0]) if vecs else 0
+    mode = vecs[0][0].mode if width else None
+    index: dict[tuple, int] = {}
+    masks = []
+    for vec in vecs:
+        if len(vec) != width:
+            raise ValueError("all class tuples must have the same length")
+        mask = 0
+        for block, comp in enumerate(vec):
+            if comp.mode is not mode:
+                raise ValueError("mixed field modes in span computation")
+            for coord in comp.coordinates():
+                mask |= 1 << index.setdefault((block, coord), len(index))
+        masks.append(mask)
+    return [
+        None if rest else [(combo >> i) & 1 for i in range(idx)]
+        for idx, (rest, combo) in enumerate(_eliminate(masks))
+    ]
+
+
 def in_span(
-    target: Union[SquareClassVector, Sequence[SquareClassVector]],
-    generators: Sequence[Union[SquareClassVector, Sequence[SquareClassVector]]],
+    target: Classes, generators: Sequence[Classes]
 ) -> tuple[bool, list[int] | None]:
     """F2 membership of a class tuple in the span of generator tuples.
 
     Returns (True, coefficients) with an explicit certificate, or
-    (False, None).  Components are compared blockwise, so pairs stay
-    pairs and never mix coordinates.  The target is eliminated as one
-    more row after the generators; its combination, without its own
-    bit, is the certificate.
+    (False, None).  The target is eliminated as one more row after the
+    generators; its combination, without its own bit, is the certificate.
     """
-    rows = _masks([*map(_as_tuple, generators), _as_tuple(target)])
-    rest, combo = _eliminate(rows)[-1]
-    if rest:
-        return False, None
-    return True, [(combo >> i) & 1 for i in range(len(rows) - 1)]
+    combo = span_combinations([*generators, target])[-1]
+    return combo is not None, combo
 
 
-def independent(
-    vectors: Sequence[Union[SquareClassVector, Sequence[SquareClassVector]]],
-) -> bool:
-    """Whether no nonempty subset of the given class tuples sums to zero.
-
-    One elimination over the tuples in order: they are dependent exactly
-    when some tuple reduces to zero against those before it.
-    """
-    return all(rest for rest, _ in _eliminate(_masks([_as_tuple(v) for v in vectors])))
+def independent(vectors: Sequence[Classes]) -> bool:
+    """Whether no nonempty subset of the given class tuples sums to zero:
+    no tuple lies in the span of those before it."""
+    return all(combo is None for combo in span_combinations(vectors))

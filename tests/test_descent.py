@@ -400,6 +400,14 @@ class TestTranscendence:
         assert result.verdict is TranscendenceVerdict.UNKNOWN
         assert "rank bound" in result.reason
 
+    # The CLI refuses these at parsing (exit 2); the library refuses them too,
+    # instead of reporting that a bound of -1 or True does not pin the kernel.
+    @pytest.mark.parametrize("bound", [-1, True, False, 1.0, "0", None])
+    def test_rank_bound_must_be_a_nonnegative_int(self, bound):
+        with pytest.raises(ValueError) as excinfo:
+            transcendence_test(T, T + 1, reference_curve(), mw_rank_bound=bound)
+        assert str(excinfo.value) == f"rank bound {bound!r} is not a nonnegative int"
+
     def test_dependent_torsion_images_give_unknown(self):
         # p = t^2 and p - q = (t^2-1)^2 make the image of (p, 0) zero,
         # so the two torsion images cannot span the kernel

@@ -6,7 +6,8 @@ end coefficients that p-adic lifting replaced, poly_factor against
 sympy's factor_list when sympy is installed, and its multiplicities
 against valuations, rational function arithmetic against Fraction
 arithmetic at sample points, and the hash against equality across ints,
-Fractions, polynomials and rational functions.
+Fractions, polynomials and rational functions, and across the routes that
+build a polynomial (a non-constant one hashes its integer model).
 """
 
 from fractions import Fraction
@@ -325,6 +326,49 @@ def test_equal_elements_hash_alike(elements):
         if a == b:
             assert hash(a) == hash(b), (a, b)
         assert (a == b) == (b == a)
+
+
+@st.composite
+def built_alike(draw):
+    """A polynomial f, and polynomials equal to it by the routes that build
+    one: from ints, from Fractions, by + and -, by monic(), and as one of
+    poly_factor's bases, which come with their integer models."""
+    f, h = draw(tiny_polys), draw(tiny_polys)
+    if f.degree > 0 and draw(st.booleans()):
+        f = f.monic()
+    forms = [Polynomial(f.coeffs), (f + h) - h, h - (h - f), 1 - (1 - f), f - 0]
+    if all(c.denominator == 1 for c in f.coeffs):
+        forms.append(Polynomial([int(c) for c in f.coeffs]))
+    if f.degree > 0 and f.leading() == 1:
+        forms.append((f * draw(st.sampled_from([-2, Fraction(3, 5)]))).monic())
+        factors = poly_factor(f * (T**2 + 1)).factors
+        forms += [base for base, _ in factors if base == f]
+    return f, forms
+
+
+@settings(deadline=None, max_examples=300)
+@given(built_alike())
+def test_polynomials_built_alike_hash_alike(drawn):
+    f, forms = drawn
+    for form in forms:
+        assert form == f and hash(form) == hash(f), (f, form)
+    if f.is_constant():
+        assert hash(f) == hash(f.as_constant())
+    # A unit denominator, given or left by cancelling h, hashes as the numerator.
+    for h in (ONE, T - 3, T**2 + T + 1):
+        value = RationalFunction(f * h, h)
+        assert value.den == ONE and hash(value) == hash(f)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 4)), min_size=1, max_size=3))
+def test_factor_bases_hash_as_their_fraction_forms(linears):
+    # poly_factor's bases are built from their primitive integer models;
+    # the same polynomials from Fractions must land in the same hash slots.
+    f = _product([Polynomial([-b, a]) for a, b in linears] + [T**2 + 2])
+    bases = {base for base, _ in poly_factor(f).factors}
+    expected = {Polynomial([Fraction(-b, a), 1]) for a, b in linears} | {T**2 + 2}
+    assert bases == expected
 
 
 # Monic denominators with no root among the sample points below: products

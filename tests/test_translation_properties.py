@@ -41,6 +41,11 @@ identity fixes each, the map of m followed by the map of n is the map of
 the matrix product m n exactly (not just up to squares), and the
 Fraction inverse undoes a map.  swap_roots undoes itself and commutes
 with every base change.
+
+The transcendence test decides with one elimination over the two torsion
+images and the target; on the same random curves it must give the
+verdict, reason and combination that independent() and then in_span()
+give on images and a target computed apart, by descent_image and class_of.
 """
 
 from fractions import Fraction
@@ -58,12 +63,20 @@ from ellbrauer.brauer import (  # noqa: E402
     local_points,
     swap_roots,
 )
-from ellbrauer.descent import brauer_image, transcendence_test  # noqa: E402
+from ellbrauer.descent import (  # noqa: E402
+    CurvePoint,
+    DescentPair,
+    TranscendenceVerdict,
+    brauer_image,
+    descent_image,
+    transcendence_test,
+)
 from ellbrauer.elliptic import SplitCurve, classify_surface  # noqa: E402
 from ellbrauer.exactalg import Polynomial  # noqa: E402
 from ellbrauer.funcfield import places_of_support  # noqa: E402
 from ellbrauer.hilbert import REAL, RationalPlace, hilbert_symbol  # noqa: E402
 from ellbrauer.residues import check_unramified_P1  # noqa: E402
+from ellbrauer.squareclass import FieldMode, class_of, in_span, independent  # noqa: E402
 from test_base_change import entry_pair  # noqa: E402
 
 PLACES = (REAL, RationalPlace.prime(2), RationalPlace.prime(3))
@@ -158,6 +171,45 @@ def _fiber_types(curve, change=None):
         fiber.place if change is None else change.place(fiber.place): fiber.kodaira
         for fiber in report.fibers
     }
+
+
+@settings(deadline=None, max_examples=150)
+@given(polys, polys, polys, polys)
+# The image of (q, 0) in the span of a nonzero image of (p, 0): equal to it
+# (p = t^2, q = 1), and zero (p = 4 - t^2, q = 4).
+@example(Polynomial([0, 0, 1]), Polynomial([1]), Polynomial([0, 1]), Polynomial([1]))
+@example(Polynomial([4, 0, -1]), Polynomial([4]), Polynomial([0, 1]), Polynomial([1]))
+def test_one_elimination_decides_as_independent_then_in_span(p, q, f, g):
+    hypothesis.assume(p and q and p != q and f and g)
+    curve, mode = SplitCurve(p, q), FieldMode.CONSTANTS_ARE_SQUARES
+    gens = tuple(
+        descent_image(point, curve, mode)
+        for point in (CurvePoint.two_torsion_p(), CurvePoint.two_torsion_q())
+    )
+    target = DescentPair(class_of(f, mode), class_of(g, mode))
+    rows = [gen.as_tuple() for gen in gens]
+    member, combo = in_span(target.as_tuple(), rows)
+    if not independent(rows):
+        expected = (
+            TranscendenceVerdict.UNKNOWN,
+            "torsion images are dependent and do not span the kernel",
+            None,
+        )
+    elif member:
+        expected = (
+            TranscendenceVerdict.ALGEBRAIC_OVER_C,
+            "target equals the recorded combination of torsion images",
+            tuple(combo),
+        )
+    else:
+        expected = (
+            TranscendenceVerdict.TRANSCENDENTAL,
+            "target lies outside the span of the torsion images",
+            None,
+        )
+    result = transcendence_test(f, g, curve, 0)
+    assert (result.target, result.generators) == (target, gens)
+    assert (result.verdict, result.reason, result.combination) == expected, (p, q, f, g)
 
 
 NEGATE = BaseChange(-1, 0, 0, 1)
