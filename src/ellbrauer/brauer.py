@@ -37,7 +37,7 @@ from typing import Iterator
 from ._valueclass import value_class
 from .descent import BrauerClass, CurveCoordinate, _coordinate_value, brauer_image
 from .elliptic import SplitCurve
-from .exactalg import Polynomial, RationalFunction, T, _frac
+from .exactalg import Polynomial, RationalFunction, T, _frac, _horner
 from .funcfield import Place
 from .hilbert import RationalPlace, _is_square, _square_class, _symbol_sign
 
@@ -116,13 +116,9 @@ class BaseChange:
             raise ValueError("a base change needs ad != bc")
 
     def _homogenised(self, h: Polynomial) -> Polynomial:
-        """(c s + d)^deg h * h(t), by Horner's rule."""
+        """(c s + d)^deg h * h(t) for nonzero h, by Horner's rule."""
         top, bottom = Polynomial((self.b, self.a)), Polynomial((self.d, self.c))
-        acc, power = Polynomial(), Polynomial((1,))
-        for coeff in reversed(h.coeffs):
-            acc = acc * top + coeff * power
-            power = power * bottom
-        return acc
+        return _horner(h.coeffs, top, bottom)
 
     def _pull_back(self, f: RationalFunction, weight: int) -> RationalFunction:
         """(c s + d)^weight * f(t)."""

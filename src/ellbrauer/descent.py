@@ -7,10 +7,12 @@ image of the first map is exactly the kernel of the second.  The ordering
 of the pair components is part of the convention and is locked in by the
 evaluation-level exactness tests; do not swap it.
 
-At the three finite 2-torsion points one coordinate vanishes, and the
-usual representative is replaced through y^2 = x (x - p) (x - q): the pair
-for (p, 0) is (p - q, p (p - q)), the pair for (q, 0) is (q (q - p), q - p),
-and (0, 0) is handled through the group law as the sum of the other two.
+Every point other than O maps to the values of x - q and x - p at it.  At
+a 2-torsion point one of them vanishes and is rewritten modulo squares
+through y^2 = x (x - p) (x - q) (_coordinate_value; Silverman, AEC X.1.4):
+
+    (p, 0) -> (p - q, p (p - q)),   (q, 0) -> (q (q - p), q - p),
+    (0, 0) -> (-q, -p)
 
 Square classes are multiplicative, so with C the class of a function the
 torsion images are sums of the classes of p, q and p - q, whose factors
@@ -21,7 +23,7 @@ factored:
     (q, 0) -> (C(q) + C(q - p), C(q - p)),   C(q - p) = C(p - q) + C(-1)
     (0, 0) -> their sum, (C(q) + C(-1), C(p) + C(-1))
 
-Affine points, and callers that need the pair functions themselves, use
+Other points, and callers that need the pair functions themselves, use
 descent_pair_functions.
 """
 
@@ -98,10 +100,6 @@ class DescentPair:
         if self.first.mode is not self.second.mode:
             raise ValueError("descent pair components must share a field mode")
 
-    @property
-    def mode(self) -> FieldMode:
-        return self.first.mode
-
     def as_tuple(self) -> tuple[SquareClassVector, SquareClassVector]:
         return (self.first, self.second)
 
@@ -133,27 +131,29 @@ def _checked_split(curve: WeierstrassCurve) -> SplitCurve:
 def descent_pair_functions(
     point: CurvePoint, curve: SplitCurve
 ) -> tuple[RationalFunction, RationalFunction]:
-    """Representative functions in Q(t)* for the descent image of a point."""
+    """Representative functions in Q(t)* for the descent image of a point.
+
+    (x - q, x - p) at any point but O, a vanishing entry rewritten by
+    _coordinate_value; O maps to (1, 1).
+    """
     curve = _checked_split(curve)
-    p, q, p_minus_q = curve.split_p, curve.split_q, curve.split_p_minus_q
-    one = RationalFunction(1)
+    p, q = curve.split_p, curve.split_q
     if point.kind is PointKind.ZERO:
-        return one, one
-    if point.kind is PointKind.TWO_TORSION_P:
-        return p_minus_q, p * p_minus_q
-    if point.kind is PointKind.TWO_TORSION_Q:
-        return q * -p_minus_q, -p_minus_q
-    if point.kind is PointKind.TWO_TORSION_ORIGIN:
-        # (0, 0) = (p, 0) + (q, 0) in the group law: the products of their pairs.
-        return p_minus_q * (q * -p_minus_q), p * p_minus_q * -p_minus_q
-    x0, y0 = point.x, point.y
-    if not (y0 * y0 - x0 * (x0 - p) * (x0 - q)).is_zero():
-        raise ValueError(f"{point} does not lie on {curve}")
-    if y0.is_zero():
-        raise ValueError(
-            "2-torsion points must use their dedicated constructors"
-        )
-    return x0 - q, x0 - p
+        return RationalFunction(1), RationalFunction(1)
+    x = {
+        PointKind.TWO_TORSION_P: p,
+        PointKind.TWO_TORSION_Q: q,
+        PointKind.TWO_TORSION_ORIGIN: RationalFunction(0),
+    }.get(point.kind, point.x)
+    if point.kind is PointKind.AFFINE:
+        y = point.y
+        if not (y * y - x * (x - p) * (x - q)).is_zero():
+            raise ValueError(f"{point} does not lie on {curve}")
+    values = (x, x - p, x - q)
+    return (
+        _coordinate_value(CurveCoordinate.X_MINUS_Q, *values),
+        _coordinate_value(CurveCoordinate.X_MINUS_P, *values),
+    )
 
 
 _TORSION_KINDS = (
@@ -250,8 +250,9 @@ class BrauerClass(_SymbolSum):
     def _with(self, symbols: Sequence[tuple]) -> "BrauerClass":
         return BrauerClass(self.curve, symbols)
 
-    def _context(self) -> SplitCurve:
-        return self.curve
+    def _context(self) -> tuple[RationalFunction, RationalFunction]:
+        # Not the curve: swapping p and q keeps the curve but moves x - p.
+        return self.curve.split_p, self.curve.split_q
 
     def restrict_to_origin(self) -> QtBrauerClass:
         """The class on the 2-torsion section x = 0, as a class over Q(t)."""

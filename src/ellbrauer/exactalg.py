@@ -19,6 +19,8 @@ exact division in Z[t] (``_divide``) and the deflation that repeats it
 at a finite place, and the residue of the unit part, a Fraction at
 degree 1 and a polynomial of lower degree than the place above it),
 ``coefficient_bits``, ``poly_gcd``, ``poly_factor`` and ``factor_over``.
+Integer valuations live here too: ``_unit_part`` splits n into p^v * u,
+for ``int_factor`` and for hilbert's symbols and primality tests.
 
 A polynomial builds its integer model on first use and keeps it, as it
 keeps its hash.  Evaluation at a rational a/b runs Horner's rule on that
@@ -292,8 +294,12 @@ def _integer_model(poly: Polynomial) -> tuple[tuple[int, ...], int]:
     return poly._model
 
 
-def _horner(ns: _Ints, a: int, b: int) -> int:
-    """b^m * N(a/b) for N = ns of degree m, by Horner's rule on integers."""
+def _horner(ns: Sequence, a, b):
+    """b^m * N(a/b) for N = ns of degree m, by Horner's rule.
+
+    Only + and * are used, so ns, a and b may come from any ring where
+    they mix: integers here, and polynomials in brauer.BaseChange.
+    """
     acc, b_pow = 0, 1
     for n in reversed(ns):
         acc = acc * a + n * b_pow
@@ -655,14 +661,10 @@ class Factorization:
 
 
 def poly_factor(f: Polynomial) -> Factorization:
-    """Factor a nonzero polynomial into monic irreducibles over Q.
-
-    ``_factor_model`` does the work on the primitive integer model of f.
-    """
+    """Factor a nonzero polynomial into monic irreducibles over Q."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    factors = _factor_model(_primitive(_integer_model(f)[0])) if f.degree else []
-    return Factorization(f.leading(), tuple(factors))
+    return factor_over(f, ())
 
 
 def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
@@ -683,7 +685,8 @@ def factor_over(f: Polynomial, bases: Sequence[Polynomial]) -> Factorization:
                 factors.append((base, exp))
     if len(ns) > 1:
         factors.extend(_factor_model(_primitive(ns)))
-    factors.sort(key=lambda fe: fe[0].sort_key())
+    if bases and len(factors) > 1:  # _factor_model's own list is sorted
+        factors.sort(key=lambda fe: fe[0].sort_key())
     return Factorization(f.leading(), tuple(factors))
 
 
@@ -755,6 +758,8 @@ def _lifted_roots(hs: list[int]) -> list[list[int]]:
 
 
 def _eval_mod(cs: list[int], x: int, m: int) -> int:
+    # Not _horner then % m: reducing at each step keeps every sum below
+    # m^2 while Newton's iteration squares m.
     acc = 0
     for c in reversed(cs):
         acc = (acc * x + c) % m
@@ -878,14 +883,23 @@ def int_factor(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         if p * p > n:
             break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            e, n = _unit_part(n, p)
             out.append((p, e))
     if n > 1:
         out.append((n, 1))
     return sign, tuple(out)
+
+
+def _unit_part(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and p not dividing u, for nonzero n."""
+    if p == 2:
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 def _trial_primes() -> Iterator[int]:

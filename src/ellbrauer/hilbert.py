@@ -18,11 +18,11 @@ or Fraction (a float raises TypeError, since 0.1 is not 1/10, and a zero
 raises ZeroArgumentError, a ValueError) and pass n*d to private integer
 kernels, which brauer also calls directly with the representatives it
 builds for points of the surface.  Valuations and unit parts come from
-repeated division, without factoring, so the arguments may be large;
-at p = 2 the unit is read mod 8, where every odd square is 1.  Legendre
-symbols are Jacobi symbols computed by quadratic reciprocity (Cohen,
-GTM 138, 1.4), and a place's prime is checked once, when the place is
-built.
+repeated division, without factoring (exactalg._unit_part), so the
+arguments may be large; at p = 2 the unit is read mod 8, where every odd
+square is 1.  Legendre symbols are Jacobi symbols computed by quadratic
+reciprocity (Cohen, GTM 138, 1.4), and a place's prime is checked once,
+when the place is built.
 
 Primality is decided by trial division by the 13 primes 2..41, then by
 strong Miller-Rabin tests to as many of those bases as n's size needs.
@@ -44,7 +44,7 @@ from math import isqrt
 from typing import Union
 
 from ._valueclass import value_class
-from .exactalg import _frac, int_factor
+from .exactalg import _frac, _unit_part, int_factor
 
 Rat = Union[int, Fraction]
 
@@ -89,10 +89,7 @@ def is_prime(n: int) -> bool:
 
 def _strong_probable_prime(n: int, base: int) -> bool:
     """Strong Fermat test of an odd n > base to the given base."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = _unit_part(n - 1, 2)
     x = pow(base, d, n)
     if x == 1 or x == n - 1:
         return True
@@ -120,10 +117,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else -D + 2
     P, Q = 1, (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = _unit_part(n + 1, 2)
     # U_k, V_k and Q^k mod n for k running over the leading bits of d.
     U, V, Qk = 1, P, Q % n
     for bit in bin(d)[3:]:
@@ -229,18 +223,6 @@ def _square_class(x: Rat) -> int:
     """The integer num * den, in the square class of the rational x."""
     x = _frac(x)
     return x.numerator * x.denominator
-
-
-def _unit_part(n: int, p: int) -> tuple[int, int]:
-    """p-adic valuation of a nonzero integer n and the remaining unit."""
-    if p == 2:
-        v = (n & -n).bit_length() - 1
-        return v, n >> v
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
 
 
 def _eps(m8: int) -> int:

@@ -54,7 +54,7 @@ class _SymbolSum:
         if type(other) is not type(self):
             return NotImplemented
         if other._context() != self._context():
-            raise ValueError("cannot add Brauer classes on different curves")
+            raise ValueError("cannot add Brauer classes with different (p, q)")
         return self._with(self.symbols + other.symbols)
 
     def __eq__(self, other: object) -> bool:

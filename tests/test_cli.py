@@ -19,6 +19,7 @@ from ellbrauer.cli import (
     ExpressionError, _ExprParser, build_parser, main, parse_poly,
 )
 from ellbrauer.brauer import reference_curve
+from ellbrauer.descent import DescentPair
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
 from ellbrauer.residues import QtBrauerClass
 
@@ -814,6 +815,44 @@ class TestVerifyOutput:
         code = main(["verify", "--sample-places", "2", "--samples", "30"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, _FAILING, "")
+
+    def test_descent_check_fails_on_swapped_images(self, capsys, monkeypatch):
+        original = pipeline.descent_image
+
+        def swapped(*args):
+            image = original(*args)
+            return DescentPair(image.second, image.first)
+
+        monkeypatch.delenv("ELLBRAUER_VERBOSE", raising=False)
+        monkeypatch.setattr(pipeline, "descent_image", swapped)
+        code, lines = run(capsys, "verify")
+        assert code == 1
+        assert lines[1] == (
+            "check descent: FAIL (descent image at p is ((t-1) * t * (t+3), t); "
+            "descent image at q is (t, (t-3) * t * (t+1)); "
+            "descent image at origin is ((t-1) * (t+3), (t-3) * (t+1)))"
+        )
+        assert lines[-1] == "FAILED: 1 check(s)"
+
+    def test_exactness_check_fails_on_swapped_pairs(self, capsys, monkeypatch):
+        original = pipeline.descent_pair_functions
+
+        def swapped(*args):
+            f, g = original(*args)
+            return g, f
+
+        monkeypatch.delenv("ELLBRAUER_VERBOSE", raising=False)
+        monkeypatch.setattr(pipeline, "descent_pair_functions", swapped)
+        code, lines = run(capsys, "verify")
+        assert code == 1
+        assert lines[5] == (
+            "check exactness: FAIL ("
+            "image of (q,0) has invariant 1/2 at (x = 0, t = -1/2) at 3; "
+            "image of (0,0) has invariant 1/2 at (x = 0, t = -1/2) at 3; "
+            "image of (p,0) has invariant 1/2 at (x = 0, t = 1/2) at 3; "
+            "image of (0,0) has invariant 1/2 at (x = 0, t = 1/2) at 3)"
+        )
+        assert lines[-1] == "FAILED: 1 check(s)"
 
     def test_sampling_place_without_points(self, capsys, monkeypatch):
         # At height 1 each t0 in {-1, 0, 1} lies under a singular fiber, so

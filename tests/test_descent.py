@@ -7,12 +7,15 @@ adic point and breaks the exactness checks there.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from ellbrauer import exactalg
 from ellbrauer.brauer import (
     BaseChange,
+    SurfacePoint,
+    evaluate_local,
     excluded_parameters,
     reference_curve,
     swap_roots,
@@ -29,8 +32,9 @@ from ellbrauer.descent import (
     descent_pair_functions,
     transcendence_test,
 )
-from ellbrauer.elliptic import WeierstrassCurve, classify_surface
+from ellbrauer.elliptic import SplitCurve, WeierstrassCurve, classify_surface
 from ellbrauer.exactalg import Polynomial, RationalFunction, T
+from ellbrauer.hilbert import RationalPlace
 from ellbrauer.squareclass import FieldMode, SquareClassVector, class_of, independent
 
 CT = FieldMode.CONSTANTS_ARE_SQUARES
@@ -59,13 +63,16 @@ class TestPairFunctions:
         assert f == curve.split_q * (curve.split_q - curve.split_p)
         assert g == curve.split_q - curve.split_p
 
-    def test_origin_is_the_product(self):
+    def test_origin_maps_to_minus_q_minus_p(self):
+        # (x - q, x - p) at x = 0; the same classes as the products of the
+        # pairs of (p, 0) and (q, 0), whose sum (0, 0) is.
         curve = reference_curve()
         fp, gp = descent_pair_functions(CurvePoint.two_torsion_p(), curve)
         fq, gq = descent_pair_functions(CurvePoint.two_torsion_q(), curve)
         fo, go = descent_pair_functions(CurvePoint.two_torsion_origin(), curve)
-        assert fo == fp * fq
-        assert go == gp * gq
+        assert (fo, go) == (-curve.split_q, -curve.split_p)
+        assert class_of(fo, QT) == class_of(fp * fq, QT)
+        assert class_of(go, QT) == class_of(gp * gq, QT)
 
     def test_identity_gives_trivial_pair(self):
         f, g = descent_pair_functions(CurvePoint.zero(), reference_curve())
@@ -98,19 +105,57 @@ class TestPairFunctions:
                 reference_curve(),
             )
 
-    def test_affine_two_torsion_rejected(self):
-        # y = 0 points are the two torsion; the generic formula does not
-        # apply to them and the named constructors must be used instead
+    def test_affine_two_torsion_is_the_named_point(self):
+        # A y = 0 point takes the same rewrite of its vanishing coordinate
+        # as the named 2-torsion point with its x.
         curve = reference_curve()
-        with pytest.raises(ValueError):
-            descent_pair_functions(
-                CurvePoint.affine(curve.split_p, RationalFunction(0)), curve
+        for x, named in (
+            (curve.split_p, CurvePoint.two_torsion_p()),
+            (curve.split_q, CurvePoint.two_torsion_q()),
+            (0, CurvePoint.two_torsion_origin()),
+        ):
+            affine = CurvePoint.affine(x, 0)
+            assert descent_pair_functions(affine, curve) == descent_pair_functions(
+                named, curve
             )
 
     def test_non_split_curve_rejected(self):
         curve = WeierstrassCurve(0, 0, 0, T, Polynomial.constant(1))
         with pytest.raises(ValueError):
             descent_pair_functions(CurvePoint.two_torsion_p(), curve)
+
+
+class TestClassesOnSwappedRoots:
+    """SplitCurve(p, q) and SplitCurve(q, p) are one curve, but x - p moves."""
+
+    def classes(self):
+        p, q = reference_curve().split_p, reference_curve().split_q
+        on_pq = BrauerClass(SplitCurve(p, q), [(CurveCoordinate.X_MINUS_P, T + 5)])
+        on_qp = BrauerClass(SplitCurve(q, p), [(CurveCoordinate.X_MINUS_P, T + 5)])
+        return on_pq, on_qp
+
+    def test_classes_differ(self):
+        a, b = self.classes()
+        assert a != b
+        assert hash(a) != hash(b)
+        # They differ where it counts: at (x, t) = (0, 1/3) over Q_2.
+        point = SurfacePoint.affine(0, Fraction(1, 3), RationalPlace.prime(2))
+        assert (evaluate_local(a, point), evaluate_local(b, point)) == (
+            Fraction(1, 2),
+            0,
+        )
+
+    def test_sum_refused(self):
+        a, b = self.classes()
+        with pytest.raises(ValueError, match="different \\(p, q\\)"):
+            a + b
+
+    def test_equal_to_the_swap(self):
+        a, _ = self.classes()
+        p, q = reference_curve().split_p, reference_curve().split_q
+        b = BrauerClass(SplitCurve(q, p), [(CurveCoordinate.X_MINUS_Q, T + 5)])
+        assert swap_roots(b) == a
+        assert hash(swap_roots(b)) == hash(a)
 
 
 class TestDescentImage:

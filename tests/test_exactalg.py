@@ -1,10 +1,12 @@
 """Polynomials over Q, rational functions, and the two factoring routines."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from ellbrauer import exactalg
 from ellbrauer.exactalg import (
     ONE,
     Polynomial,
@@ -228,6 +230,51 @@ class TestPolyFactor:
             assert fac.unit == unit
             assert dict(fac.factors) == dict(zip(chosen, exponents))
             assert fac.reassemble() == product
+
+
+# 47# = 614889782588491410, the product of the primes in _small_primes'
+# table: a lead it divides sends _lifted_roots past the table, to the first
+# prime it finds by trial division.
+TABLE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+PRIMORIAL_47 = math.prod(TABLE_PRIMES)
+
+
+class TestLiftedRootsPastThePrimeTable:
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        primes = []
+        original = exactalg._small_primes
+
+        def recording():
+            for p in original():
+                primes.append(p)
+                yield p
+
+        monkeypatch.setattr(exactalg, "_small_primes", recording)
+        return primes
+
+    def test_root_found_mod_53(self, drawn):
+        fac = poly_factor((PRIMORIAL_47 * T - 1) * (T**2 + T + 1))
+        assert fac.unit == PRIMORIAL_47
+        assert fac.factors == (
+            (T - Fraction(1, PRIMORIAL_47), 1),
+            (T**2 + T + 1, 1),
+        )
+        assert drawn == TABLE_PRIMES + [53]
+
+    def test_rootless_cubic_mod_53(self, drawn):
+        fac = poly_factor(PRIMORIAL_47 * T**3 - 1)
+        assert fac.unit == PRIMORIAL_47
+        assert fac.factors == ((T**3 - Fraction(1, PRIMORIAL_47), 1),)
+        assert drawn == TABLE_PRIMES + [53]
+
+    def test_content_leaves_an_odd_lead(self, drawn):
+        # The primitive model of 47# t^3 - 2 has the odd lead 47#/2, so
+        # the prime 2 serves.
+        fac = poly_factor(PRIMORIAL_47 * T**3 - 2)
+        assert fac.unit == PRIMORIAL_47
+        assert fac.factors == ((T**3 - Fraction(2, PRIMORIAL_47), 1),)
+        assert drawn == [2]
 
 
 class TestIntFactor:

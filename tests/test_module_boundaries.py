@@ -6,6 +6,8 @@ and used there alone.  Every other module reaches them through
 polynomials: ``deflate_at``, ``coefficient_bits``, ``poly_factor`` and
 ``factor_over``, which divides known irreducibles out before the factor
 search.  A change to how a polynomial is stored then touches one module.
+The factor search (``_factor_model``) has one way in, ``factor_over``:
+``poly_factor`` is ``factor_over`` with no known irreducibles.
 
 Likewise every other module reaches places through funcfield's public
 names (``valuation``, ``residue``, ``places_of_support``), never through
@@ -45,18 +47,20 @@ def _defined(tree: ast.AST) -> set[str]:
     }
 
 
+def _names(node: ast.AST) -> set[str]:
+    """The names one node imports, reads or looks up as an attribute."""
+    if isinstance(node, ast.alias):
+        return {node.name.rsplit(".", 1)[-1], node.asname or node.name}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
 def _referenced(tree: ast.AST) -> set[str]:
     """Names imported, read or looked up as attributes anywhere in the module."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-            names.add(node.asname or node.name)
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+    return {name for node in ast.walk(tree) for name in _names(node)}
 
 
 def test_integer_models_stay_in_exactalg():
@@ -68,6 +72,34 @@ def test_integer_models_stay_in_exactalg():
         for name, tree in modules.items()
     }
     assert {name: found for name, found in leaks.items() if found} == {}
+
+
+def _scopes_referencing(tree: ast.AST, name: str) -> set[str]:
+    """Qualified names of the functions that reference name; "" for module level."""
+    scopes = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if name in _names(child):
+                scopes.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return scopes
+
+
+def test_factor_search_has_one_way_in():
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert "_factor_model" in _defined(modules["exactalg"])
+    scopes = {
+        f"{module}.{scope}"
+        for module, tree in modules.items()
+        for scope in _scopes_referencing(tree, "_factor_model")
+    }
+    assert scopes == {"exactalg.factor_over"}
 
 
 def _private_funcfield_names(tree: ast.AST) -> set[str]:
@@ -94,33 +126,12 @@ def test_no_module_reaches_into_funcfield():
     assert {name: found for name, found in leaks.items() if found} == {}
 
 
-def _print_callers(tree: ast.AST) -> set[str]:
-    """Qualified names of the functions that call print; "" for module level."""
-    callers = set()
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}".lstrip("."))
-                continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "print"
-            ):
-                callers.add(scope)
-            visit(child, scope)
-
-    visit(tree, "")
-    return callers
-
-
 def test_only_cli_main_prints():
     modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     callers = {
         f"{name}.{scope}"
         for name, tree in modules.items()
-        for scope in _print_callers(tree)
+        for scope in _scopes_referencing(tree, "print")
     }
     assert callers == {"cli.main"}
 
